@@ -34,8 +34,8 @@ test-topology:
 	go test -race -run 'TestTreeHostGolden|TestCrossTopology' .
 
 # Crash-recovery and chaos smoke: SIGKILL mid-ingest recovery
-# byte-identity, the seeded chaos soak under -race, and the journaled
-# benchmark pass (see docs/ENGINE.md).
+# byte-identity, the seeded chaos soak under -race, facade journal
+# round trips, and snapshot retention (see docs/ENGINE.md).
 test-chaos:
 	./scripts/chaos-smoke.sh
 
@@ -52,10 +52,13 @@ test-snapshot:
 # Placement suite under the race detector (docs/ENGINE.md, "Placement
 # and rebalancing"): HashPlacer byte-identity goldens, BalancedPlacer
 # plan determinism, the MoveTenant-through-placer regression, concurrent
-# Submit during rebalance passes, and the SIGKILL mid-rebalance crash
-# test that gates recovery on routing-table consistency.
+# Submit during rebalance passes, the SIGKILL mid-rebalance crash test
+# that gates recovery on routing-table consistency, and the skew gate
+# (balanced hot-shard peak strictly below hash on a zipf fleet, with
+# TypeMove replay restoring the routing table).
 test-placement:
 	go test -race -run 'TestHashPlacementGolden|TestBalancedPlacer|TestMoveTenantRoutesThroughPlacer|TestConcurrentSubmitDuringRebalance|TestSIGKILLRebalanceRecovery' -count=1 ./internal/engine/
+	go test -race -run 'TestBalancedPlacementLowersHotShardPeak' -count=1 .
 
 # Observability smoke (docs/OBSERVABILITY.md): boots `engined -listen`
 # on a random port, scrapes /metrics, asserts the required series exist
@@ -76,19 +79,15 @@ lint:
 lint-json:
 	go run ./cmd/partlint -json ./... > partlint.json
 
-# Micro-benchmarks (batched vs serial apply, engine replay) plus the
-# engined load driver, which refreshes the committed benchmark ledger —
-# including the journal-on vs journal-off headline comparison, the
-# observability-on slowdown (obs_slowdown), and the full-replay vs
-# snapshot+tail recovery comparison (recovery.speedup).
+# Micro-benchmarks (batched vs serial apply, engine replay), then the
+# end-to-end benchmark on all three workloads (perfbench/README.md).
 bench:
 	go test -bench=. -benchmem ./internal/core/ ./internal/engine/
-	go run ./cmd/engined -journal -obs -recovery -out BENCH_3.json
+	bash perfbench/run.sh --workload all
 
-# Engine benchmark smoke for CI: a -race engined run on a small fleet,
-# plus the engine-level batched-vs-serial equivalence gate.
+# Engine equivalence smoke for CI: batched ingestion must match serial
+# Simulate and Replay.
 bench-smoke:
-	go run -race ./cmd/engined -quick -out /dev/null
 	go test -run 'TestReplayMatchesSerialSimulate|TestSubmitMatchesReplay' -count=1 ./internal/engine/
 
 # Regenerate every experiment artifact (E1–E14) at paper scale.

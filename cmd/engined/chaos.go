@@ -2,7 +2,7 @@
 // robustness layers (docs/ENGINE.md). It drives internal/engine directly
 // — the chaos injections (poison pills, allocator stalls, crash/recover
 // cycles) need the breaker config, Recover, and CanonicalStats, none of
-// which the benchmark facade exposes — and asserts the four guarantees
+// which the partalloc facade exposes — and asserts the four guarantees
 // the robustness stack makes:
 //
 //  1. audited invariants hold throughout: every tenant runs under

@@ -6,45 +6,20 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 
 	"partalloc"
 )
 
-// obsState is the observability surface shared between the benchmark
-// passes and the HTTP handlers: the metrics registry exists from startup
-// (so /metrics is valid immediately, filling in as passes run), while
-// the flight recorder belongs to the observed engine and appears once
-// that pass builds it.
-type obsState struct {
-	metrics *partalloc.Metrics
-
-	mu sync.Mutex
-	fr *partalloc.FlightRecorder
-}
-
-func (s *obsState) setFlightRecorder(fr *partalloc.FlightRecorder) {
-	s.mu.Lock()
-	s.fr = fr
-	s.mu.Unlock()
-}
-
-func (s *obsState) flightRecorder() *partalloc.FlightRecorder {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.fr
-}
-
-// serveObs mounts the observability endpoints on addr and serves them in
-// the background until ctx is done. It returns the bound address (useful
+// serveObs mounts the observability endpoints of eng, which must carry a
+// metrics registry and a flight recorder, on addr and serves them in the
+// background until ctx is done. It returns the bound address (useful
 // with ":0"). Endpoints:
 //
-//	/metrics          Prometheus text exposition of the shared registry
+//	/metrics          Prometheus text exposition of eng's registry
 //	/debug/vars       expvar (Go runtime memstats and cmdline)
 //	/debug/pprof/     the standard pprof index, profile, trace, ...
-//	/debug/flightrec  the observed engine's event ring as JSONL
-//	                  (503 until the observed pass has started)
-func serveObs(ctx context.Context, addr string, st *obsState) (string, error) {
+//	/debug/flightrec  eng's event ring as JSONL
+func serveObs(ctx context.Context, addr string, eng *partalloc.Engine) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", err
@@ -53,7 +28,7 @@ func serveObs(ctx context.Context, addr string, st *obsState) (string, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = st.metrics.WritePrometheus(w)
+		_ = eng.Metrics().WritePrometheus(w)
 	})
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -62,13 +37,8 @@ func serveObs(ctx context.Context, addr string, st *obsState) (string, error) {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.HandleFunc("/debug/flightrec", func(w http.ResponseWriter, r *http.Request) {
-		fr := st.flightRecorder()
-		if fr == nil {
-			http.Error(w, "flight recorder not armed yet (observed pass has not started)", http.StatusServiceUnavailable)
-			return
-		}
 		w.Header().Set("Content-Type", "application/jsonl")
-		_ = fr.WriteJSONL(w)
+		_ = eng.FlightRecorder().WriteJSONL(w)
 	})
 
 	srv := &http.Server{Handler: mux}

@@ -30,15 +30,6 @@ const (
 	EventDepart = task.Depart
 )
 
-// EngineConfig parameterizes the deprecated NewEngineFromConfig; the
-// zero value selects the defaults (min(GOMAXPROCS, 8) shards, 256-event
-// batches, no audit, no queue bound, no journal).
-//
-// Deprecated: configure NewEngine with EngineOptions (WithShards,
-// WithBatchSize, WithAudit, ...) instead of a config struct. The struct
-// form survives as NewEngineFromConfig.
-type EngineConfig = engine.Config
-
 // BreakerConfig tunes the poisoned-tenant circuit breaker's backoff for
 // WithBreaker; the zero value selects the defaults (100ms base, 30s cap,
 // jitter seed 1). See docs/ENGINE.md.
@@ -432,28 +423,28 @@ func WithPoisonDump(w io.Writer) EngineOption {
 
 // config folds the options into an engine.Config and builds the
 // observability sink.
-func (o *engineOptions) config() (EngineConfig, *obs.Sink, error) {
+func (o *engineOptions) config() (engine.Config, *obs.Sink, error) {
 	if o.err != nil {
-		return EngineConfig{}, nil, o.err
+		return engine.Config{}, nil, o.err
 	}
 	if o.poisonDump != nil && o.flightN == 0 {
-		return EngineConfig{}, nil, fmt.Errorf("%w: WithPoisonDump requires WithFlightRecorder", ErrBadOption)
+		return engine.Config{}, nil, fmt.Errorf("%w: WithPoisonDump requires WithFlightRecorder", ErrBadOption)
 	}
 	if o.snapEvery > 0 && o.journalDir == "" {
-		return EngineConfig{}, nil, fmt.Errorf("%w: WithSnapshotEvery requires WithJournal", ErrBadOption)
+		return engine.Config{}, nil, fmt.Errorf("%w: WithSnapshotEvery requires WithJournal", ErrBadOption)
 	}
 	if o.segBytes > 0 && o.journalDir == "" {
-		return EngineConfig{}, nil, fmt.Errorf("%w: WithJournalSegmentBytes requires WithJournal", ErrBadOption)
+		return engine.Config{}, nil, fmt.Errorf("%w: WithJournalSegmentBytes requires WithJournal", ErrBadOption)
 	}
 	balanced := o.placeSet && o.placement == PlacementBalanced
 	if o.rebalD > 0 && !balanced {
-		return EngineConfig{}, nil, fmt.Errorf("%w: WithRebalanceD requires WithPlacement(PlacementBalanced)", ErrBadOption)
+		return engine.Config{}, nil, fmt.Errorf("%w: WithRebalanceD requires WithPlacement(PlacementBalanced)", ErrBadOption)
 	}
 	if o.rebalEvery > 0 && !balanced {
-		return EngineConfig{}, nil, fmt.Errorf("%w: WithRebalanceEvery requires WithPlacement(PlacementBalanced)", ErrBadOption)
+		return engine.Config{}, nil, fmt.Errorf("%w: WithRebalanceEvery requires WithPlacement(PlacementBalanced)", ErrBadOption)
 	}
 	if balanced && o.shardsSet && o.shards != mathx.FloorPow2(o.shards) {
-		return EngineConfig{}, nil, fmt.Errorf("%w: WithPlacement(PlacementBalanced) requires a power-of-two shard count, got WithShards(%d)", ErrBadOption, o.shards)
+		return engine.Config{}, nil, fmt.Errorf("%w: WithPlacement(PlacementBalanced) requires a power-of-two shard count, got WithShards(%d)", ErrBadOption, o.shards)
 	}
 	var fr *obs.FlightRecorder
 	if o.flightN > 0 {
@@ -463,7 +454,7 @@ func (o *engineOptions) config() (EngineConfig, *obs.Sink, error) {
 	if sink != nil && o.poisonDump != nil {
 		sink.SetPoisonDump(o.poisonDump)
 	}
-	cfg := EngineConfig{
+	cfg := engine.Config{
 		Shards:         o.shards,
 		BatchSize:      o.batch,
 		Audit:          o.audit,
@@ -538,59 +529,6 @@ func NewEngine(opts ...EngineOption) (*Engine, error) {
 	return &Engine{eng: engine.New(cfg), sink: sink}, nil
 }
 
-// NewEngineFromConfig builds an engine from the legacy EngineConfig
-// struct plus options; non-zero struct fields are mapped onto the
-// corresponding options, and explicit options win over struct fields.
-//
-// Deprecated: use NewEngine with WithShards, WithBatchSize, WithAudit,
-// WithMaxQueue, WithOverloadPolicy, WithDegradeBudget,
-// WithReplayWatchdog and WithBreaker instead.
-func NewEngineFromConfig(cfg EngineConfig, opts ...EngineOption) (*Engine, error) {
-	return NewEngine(append(optionsFromConfig(cfg), opts...)...)
-}
-
-// optionsFromConfig maps the legacy struct's non-zero fields onto the
-// equivalent options, so the deprecated wrappers share the options-only
-// construction path. Internal plumbing fields (Journal, Rebuild, Sink)
-// are engine-owned and ignored.
-func optionsFromConfig(cfg EngineConfig) []EngineOption {
-	var opts []EngineOption
-	if cfg.Shards > 0 {
-		opts = append(opts, WithShards(cfg.Shards))
-	}
-	if cfg.BatchSize > 0 {
-		opts = append(opts, WithBatchSize(cfg.BatchSize))
-	}
-	if cfg.Audit {
-		opts = append(opts, WithAudit())
-	}
-	if cfg.MaxQueue > 0 {
-		opts = append(opts, WithMaxQueue(cfg.MaxQueue))
-	}
-	if cfg.Overload != OverloadBlock {
-		opts = append(opts, WithOverloadPolicy(cfg.Overload))
-	}
-	if cfg.DegradeBudget > 0 {
-		opts = append(opts, WithDegradeBudget(cfg.DegradeBudget))
-	}
-	if cfg.ReplayWatchdog > 0 {
-		opts = append(opts, WithReplayWatchdog(cfg.ReplayWatchdog))
-	}
-	if cfg.Breaker != (BreakerConfig{}) {
-		opts = append(opts, WithBreaker(cfg.Breaker))
-	}
-	if cfg.Placement != PlacementHash {
-		opts = append(opts, WithPlacement(cfg.Placement))
-	}
-	if cfg.RebalanceD > 0 {
-		opts = append(opts, WithRebalanceD(cfg.RebalanceD))
-	}
-	if cfg.RebalanceEvery > 0 {
-		opts = append(opts, WithRebalanceEvery(cfg.RebalanceEvery))
-	}
-	return opts
-}
-
 // RecoverEngine reconstructs a journaling engine from the log a crashed
 // (or closed) engine left in dir: tenants are rebuilt from their
 // registration records and every journaled ingestion call is re-applied,
@@ -616,15 +554,6 @@ func RecoverEngine(dir string, opts ...EngineOption) (*Engine, error) {
 		return nil, fmt.Errorf("partalloc: RecoverEngine: %w", err)
 	}
 	return &Engine{eng: eng, sink: sink}, nil
-}
-
-// RecoverEngineFromConfig is RecoverEngine taking the legacy
-// EngineConfig struct; non-zero fields map onto options as in
-// NewEngineFromConfig.
-//
-// Deprecated: use RecoverEngine(dir, opts...) instead.
-func RecoverEngineFromConfig(cfg EngineConfig, dir string, opts ...EngineOption) (*Engine, error) {
-	return RecoverEngine(dir, append(optionsFromConfig(cfg), opts...)...)
 }
 
 // Metrics returns the registry attached with WithMetrics (nil without

@@ -183,81 +183,6 @@ func TestAllocatorOptionsWrapErrBadOption(t *testing.T) {
 	}
 }
 
-// TestNewEngineFromConfig exercises the deprecated struct wrapper: its
-// fields must map onto the same options, observable through the Shed
-// overload behavior and a journaled recovery round trip.
-func TestNewEngineFromConfig(t *testing.T) {
-	eng, err := partalloc.NewEngineFromConfig(partalloc.EngineConfig{
-		Shards:   2,
-		MaxQueue: 1,
-		Overload: partalloc.OverloadShed,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.AddTenant("t", partalloc.AlgoBasic, partalloc.MustNewMachine(4)); err != nil {
-		t.Fatal(err)
-	}
-	err = eng.Submit("t",
-		partalloc.Event{Kind: partalloc.EventArrive, Task: 1, Size: 1},
-		partalloc.Event{Kind: partalloc.EventArrive, Task: 2, Size: 1})
-	if !errors.Is(err, partalloc.ErrOverloaded) {
-		t.Errorf("config-mapped Shed policy: %v is not ErrOverloaded", err)
-	}
-	// Explicit options win over struct fields: a larger bound admits both.
-	eng2, err := partalloc.NewEngineFromConfig(partalloc.EngineConfig{MaxQueue: 1, Overload: partalloc.OverloadShed},
-		partalloc.WithMaxQueue(16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng2.AddTenant("t", partalloc.AlgoBasic, partalloc.MustNewMachine(4)); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng2.Submit("t",
-		partalloc.Event{Kind: partalloc.EventArrive, Task: 1, Size: 1},
-		partalloc.Event{Kind: partalloc.EventArrive, Task: 2, Size: 1}); err != nil {
-		t.Errorf("option-overridden bound shed anyway: %v", err)
-	}
-}
-
-// TestRecoverEngineFromConfig exercises the deprecated recovery wrapper
-// end to end: run journaled, close, recover through the struct form, and
-// compare canonical ledgers.
-func TestRecoverEngineFromConfig(t *testing.T) {
-	dir := t.TempDir()
-	eng, err := partalloc.NewEngineFromConfig(partalloc.EngineConfig{BatchSize: 16}, partalloc.WithJournal(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := partalloc.MustNewMachine(32)
-	if err := eng.AddTenant("t", partalloc.AlgoGreedy, m); err != nil {
-		t.Fatal(err)
-	}
-	seq := partalloc.PoissonWorkload(partalloc.WorkloadConfig{N: 32, Arrivals: 300, Seed: 3})
-	if err := eng.Replay(context.Background(), map[string][]partalloc.Event{"t": seq.Events}); err != nil {
-		t.Fatal(err)
-	}
-	before, err := eng.TenantStats("t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := partalloc.RecoverEngineFromConfig(partalloc.EngineConfig{BatchSize: 16}, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rec.Close()
-	after, err := rec.TenantStats("t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(partalloc.CanonicalEngineStats(before), partalloc.CanonicalEngineStats(after)) {
-		t.Error("recovered ledger diverged from the original")
-	}
-}
-
 // TestPoisonDumpThroughFacade checks the WithPoisonDump plumbing: a
 // poisoned tenant flushes the flight recorder to the configured writer.
 func TestPoisonDumpThroughFacade(t *testing.T) {

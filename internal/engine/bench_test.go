@@ -10,8 +10,9 @@ import (
 	"partalloc/internal/tree"
 )
 
-// benchFleet builds the benchmark tenant mix: the batching-friendly
-// algorithms the engined load driver also uses.
+// benchFleet builds the micro-benchmark tenant mix: A_Rand, A_B and
+// A_M-lazy(4) round-robin. End-to-end figures come from perfbench (see
+// perfbench/README.md), not from these micro-benchmarks.
 func benchFleet(b *testing.B, tenants int) (map[string]func() core.Allocator, map[string][]task.Event) {
 	b.Helper()
 	factories := make(map[string]func() core.Allocator, tenants)

@@ -155,7 +155,7 @@ func TestSIGKILLRecovery(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			return ref.AddTenantSpec(spec, a, sched, host)
+			return ref.AddTenant(spec.ID, a, specTenantOptions(spec, sched, host)...)
 		case wal.TypeSubmit:
 			evs, err := wal.DecodeEvents(wrec.Data)
 			if err != nil {

@@ -120,7 +120,7 @@ type Config struct {
 	// is appended before tenant state changes, making the engine
 	// recoverable (Recover) and the circuit breaker possible. Journaled
 	// engines require tenants registered with a serializable TenantSpec
-	// (AddTenantSpec; the partalloc facade does this automatically).
+	// (WithTenantSpec; the partalloc facade does this automatically).
 	Journal *wal.Log
 	// Rebuild turns a TenantSpec back into a live allocator (plus its
 	// fault schedule and topology host). Required by Recover and by the
@@ -252,7 +252,7 @@ type TenantStats struct {
 	// FaultEvents is the number of injected fault-schedule events.
 	FaultEvents int
 	// Topology names the tenant's physical network when it was registered
-	// with a topology host (AddTenantHosted); empty otherwise.
+	// with a topology host (WithTenantHost); empty otherwise.
 	Topology string
 	// MigHops is the hop-distance-weighted cost of the tenant's voluntary
 	// migrations on its host network; host-aware tenants only.
@@ -309,7 +309,7 @@ type tenant struct {
 	faultPos int
 	faultHit int
 
-	// Host-aware migration pricing (AddTenantHosted). inFault mutes the
+	// Host-aware migration pricing (WithTenantHost). inFault mutes the
 	// observer while a fault is applied: failInCopies fires it for forced
 	// moves too, and those are charged once, from the FailPE return.
 	host       *topology.Host
@@ -324,7 +324,7 @@ type tenant struct {
 	// change the live Name (A_M's includes d), but the ledger keeps the
 	// configured identity.
 	algoName string
-	// spec is the serializable rebuild recipe (AddTenantSpec); hasSpec
+	// spec is the serializable rebuild recipe (WithTenantSpec); hasSpec
 	// gates the journal and circuit breaker.
 	spec    TenantSpec
 	hasSpec bool
@@ -541,8 +541,6 @@ func WithTenantSpec(spec TenantSpec) TenantOption {
 // options: WithTenantFaults for a fault schedule, WithTenantHost for
 // hop-priced migrations on a physical network, WithTenantSpec for a
 // rebuild recipe (required on journaled engines).
-//
-// This constructor supersedes AddTenantHosted and AddTenantSpec.
 func (e *Engine) AddTenant(id string, a core.Allocator, topts ...TenantOption) error {
 	o := tenantOptions{spec: TenantSpec{ID: id}}
 	for _, opt := range topts {
@@ -560,40 +558,6 @@ func (e *Engine) AddTenant(id string, a core.Allocator, topts ...TenantOption) e
 	return e.addTenant(o.spec, o.hasSpec, a, o.faults, o.host, true)
 }
 
-// AddTenantHosted is AddTenant on a physical topology host; faults and
-// host may each be nil (plain AddTenant).
-//
-// Deprecated: use AddTenant(id, a, WithTenantFaults(faults),
-// WithTenantHost(host)), omitting the options that would be nil here.
-func (e *Engine) AddTenantHosted(id string, a core.Allocator, faults *fault.Schedule, host *topology.Host) error {
-	var topts []TenantOption
-	if faults != nil {
-		topts = append(topts, WithTenantFaults(faults))
-	}
-	if host != nil {
-		topts = append(topts, WithTenantHost(host))
-	}
-	return e.AddTenant(id, a, topts...)
-}
-
-// AddTenantSpec registers a tenant along with its serializable rebuild
-// recipe; faults and host may each be nil.
-//
-// Deprecated: use AddTenant(spec.ID, a, WithTenantSpec(spec), ...).
-func (e *Engine) AddTenantSpec(spec TenantSpec, a core.Allocator, faults *fault.Schedule, host *topology.Host) error {
-	if spec.ID == "" {
-		return fmt.Errorf("engine: AddTenantSpec: empty tenant ID")
-	}
-	topts := []TenantOption{WithTenantSpec(spec)}
-	if faults != nil {
-		topts = append(topts, WithTenantFaults(faults))
-	}
-	if host != nil {
-		topts = append(topts, WithTenantHost(host))
-	}
-	return e.AddTenant(spec.ID, a, topts...)
-}
-
 // addTenant is the shared registration path. journal=false is the
 // recovery path, which reconstructs tenants from AddTenant records
 // without re-journaling them.
@@ -603,7 +567,7 @@ func (e *Engine) addTenant(spec TenantSpec, hasSpec bool, a core.Allocator, faul
 		return fmt.Errorf("engine: AddTenant(%q): nil allocator", id)
 	}
 	if e.cfg.Journal != nil && !hasSpec {
-		return fmt.Errorf("engine: AddTenant(%q): a journaled engine needs a rebuild recipe; use AddTenantSpec", id)
+		return fmt.Errorf("engine: AddTenant(%q): a journaled engine needs a rebuild recipe; use WithTenantSpec", id)
 	}
 	// Registration changes routing and membership together; holding the
 	// rebalance mutex keeps the pair atomic with respect to passes and
@@ -1276,23 +1240,4 @@ func (s *shard) stats(t *tenant) TenantStats {
 		st.Violations = t.check.Violations()
 	}
 	return st
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1, nearest-rank) of ns,
-// without mutating it; 0 when empty. Engined uses it for p50/p99 apply
-// latency.
-func Quantile(ns []int64, q float64) int64 {
-	if len(ns) == 0 {
-		return 0
-	}
-	sorted := append([]int64(nil), ns...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(q*float64(len(sorted))+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
 }

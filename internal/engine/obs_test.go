@@ -15,7 +15,6 @@ import (
 	"partalloc/internal/errs"
 	"partalloc/internal/obs"
 	"partalloc/internal/task"
-	"partalloc/internal/topology"
 	"partalloc/internal/tree"
 )
 
@@ -41,42 +40,6 @@ func TestTenantOptionValidation(t *testing.T) {
 	// A valid spec with a matching ID is accepted.
 	if err := New(Config{}).AddTenant("t", a(), WithTenantSpec(TenantSpec{ID: "t", Algorithm: "basic", N: 8})); err != nil {
 		t.Errorf("matching spec rejected: %v", err)
-	}
-}
-
-// TestDeprecatedAddTenantHosted pins the wrapper: the old 4-arg hosted
-// form and the options form must register identical tenants, ledgers
-// included.
-func TestDeprecatedAddTenantHosted(t *testing.T) {
-	stream := testStream(16, 500, 21)
-	build := func(add func(e *Engine, a core.Allocator, h *topology.Host) error) *Engine {
-		t.Helper()
-		host, err := topology.NewHostNamed("hypercube", 16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := New(Config{Shards: 1, BatchSize: 32})
-		if err := add(e, core.NewConstant(host.Tree()), host); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.Replay(context.Background(), map[string][]task.Event{"t": stream}); err != nil {
-			t.Fatal(err)
-		}
-		return e
-	}
-	old := build(func(e *Engine, a core.Allocator, h *topology.Host) error {
-		return e.AddTenantHosted("t", a, nil, h)
-	})
-	opt := build(func(e *Engine, a core.Allocator, h *topology.Host) error {
-		return e.AddTenant("t", a, WithTenantHost(h))
-	})
-	ost, _ := old.TenantStats("t")
-	nst, _ := opt.TenantStats("t")
-	if !bytes.Equal(CanonicalStats(ost), CanonicalStats(nst)) {
-		t.Errorf("hosted wrapper diverged:\n--- old ---\n%s--- options ---\n%s", CanonicalStats(ost), CanonicalStats(nst))
-	}
-	if ost.MigHops == 0 {
-		t.Error("hosted A_C tenant recorded no migration hops; host not attached?")
 	}
 }
 

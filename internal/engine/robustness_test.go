@@ -61,9 +61,22 @@ func addSpecTenant(t *testing.T, e *Engine, spec TenantSpec) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.AddTenantSpec(spec, a, sched, host); err != nil {
+	if err := e.AddTenant(spec.ID, a, specTenantOptions(spec, sched, host)...); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// specTenantOptions is the AddTenant option list for a testRebuild
+// result: the spec itself, plus the fault schedule and host when set.
+func specTenantOptions(spec TenantSpec, sched *fault.Schedule, host *topology.Host) []TenantOption {
+	topts := []TenantOption{WithTenantSpec(spec)}
+	if sched != nil {
+		topts = append(topts, WithTenantFaults(sched))
+	}
+	if host != nil {
+		topts = append(topts, WithTenantHost(host))
+	}
+	return topts
 }
 
 // fakeClock is a deterministic e.now hook: every reading advances the

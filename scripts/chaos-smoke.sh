@@ -10,11 +10,13 @@
 #      mid-batch PE faults, kill/recover cycles — finishes with audited
 #      invariants clean, byte-identical recoveries, and every poisoned
 #      tenant healed by the circuit breaker;
-#   3. journaled throughput: the benchmark's journal-on pass runs end to
-#      end (the write-ahead path under the race detector);
+#   3. facade journal round trips: engines built through the public
+#      options recover byte-identically, and recovery by full replay and
+#      by snapshot+tail yield identical ledgers (the write-ahead path
+#      under the race detector);
 #   4. snapshot retention: periodic snapshots keep the journal bounded,
-#      SIGKILL with truncation in flight still recovers byte-identically,
-#      and O(tail) recovery is equivalence-gated against full replay;
+#      and SIGKILL with truncation in flight still recovers
+#      byte-identically;
 #   5. placement under chaos: the balanced placer keeps rebalancing
 #      through poison pills, stalls, and kill/recover cycles, every
 #      recovery replays TypeMove records to the exact pre-crash routing
@@ -34,17 +36,18 @@ echo "chaos-smoke: 2/5 seeded chaos soak under the race detector"
 go run -race ./cmd/engined -chaos -chaos-rounds 8 -seed 1
 go run -race ./cmd/engined -chaos -chaos-rounds 6 -seed 7
 
-echo "chaos-smoke: 3/5 journal-on benchmark pass"
-go run -race ./cmd/engined -quick -journal -out /dev/null
+# The round-trip test closes a journaled engine with queued events and
+# a poisoned tenant in flight; the equivalence test recovers the same
+# fleet by full replay and by snapshot+tail and demands both match an
+# uninterrupted run byte for byte.
+echo "chaos-smoke: 3/5 facade journal round trip; O(tail) recovery equivalence"
+go test -race -run 'TestEngineJournalRecoverRoundTrip|TestSnapshotRecoveryEquivalence' -count=1 .
 
 # The compaction test asserts the segment count stays bounded while the
 # log keeps growing; the crash test SIGKILLs a child only after at least
-# two truncations have landed; the -recovery pass recovers the same
-# fleet from a plain and a snapshotting journal and refuses to report a
-# speedup unless the two ledgers are byte-identical.
-echo "chaos-smoke: 4/5 snapshot retention bounds the WAL; O(tail) recovery equivalence"
+# two truncations have landed.
+echo "chaos-smoke: 4/5 snapshot retention bounds the WAL"
 go test -race -run 'TestSnapshotCompactionBoundsLog|TestSIGKILLSnapshotRecovery' -count=1 ./internal/engine/
-go run -race ./cmd/engined -quick -journal -snapshot-every 2 -recovery -out /dev/null
 
 # The balanced soak forces a rebalance pass every round and gates each
 # kill/recover cycle on routing-table identity; the subprocess test

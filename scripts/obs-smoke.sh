@@ -20,13 +20,12 @@ trap 'kill "$pid" 2>/dev/null || true; wait "$pid" 2>/dev/null || true; rm -rf "
 
 echo "obs-smoke: 1/4 boot engined -listen on a random port"
 go build -o "$workdir/engined" ./cmd/engined
-"$workdir/engined" -quick -journal -listen 127.0.0.1:0 \
-    -out "$workdir/bench.json" 2> "$workdir/stderr.log" &
+"$workdir/engined" -listen 127.0.0.1:0 2> "$workdir/stderr.log" &
 pid=$!
 
-# Wait for the post-benchmark serving marker (the benchmark itself is
-# the slow part; the listener is up from the first marker, but series
-# from the observed pass only exist once the run completes).
+# Wait for the serving marker: the listener is up from the first
+# marker, but the fleet's series only all exist once its ingestion
+# completes.
 addr=""
 for _ in $(seq 1 120); do
     if ! kill -0 "$pid" 2>/dev/null; then
