@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test test-short test-race test-fault test-topology test-chaos test-snapshot test-placement obs-smoke lint lint-json bench experiments experiments-quick cover golden clean
+.PHONY: all build test test-short test-race test-core test-fault test-topology test-chaos test-snapshot test-placement obs-smoke lint lint-json bench experiments experiments-quick cover golden clean
 
 all: build lint test
 
@@ -19,6 +19,14 @@ test-short:
 # for races are not short-gated, so this still exercises them).
 test-race:
 	go test -short -race ./...
+
+# Core allocator suite under the race detector (docs/ALGORITHMS.md,
+# "State kernels"): the snapshot wire-format golden, the optional-
+# interface table, the checkpoint fuzz seed corpus, the lazy-mode A_M vs
+# A_M-lazy equivalence, then the E1–E14 experiment goldens.
+test-core:
+	go test -race -count=1 ./internal/core/
+	go test -count=1 -run Golden ./internal/experiments/
 
 # Fault-injection smoke: deterministic replay under faults, kill+resume
 # byte-identity, and panicking-cell isolation (see docs/FAULTS.md).

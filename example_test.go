@@ -11,10 +11,10 @@ import (
 func ExampleSimulate() {
 	seq := partalloc.Figure1Sequence()
 
-	greedy := partalloc.NewGreedy(partalloc.MustNewMachine(4))
+	greedy := partalloc.MustNew(partalloc.AlgoGreedy, partalloc.MustNewMachine(4))
 	g := partalloc.Simulate(greedy, seq, partalloc.SimOptions{})
 
-	lazy := partalloc.NewLazy(partalloc.MustNewMachine(4), 1, partalloc.DecreasingSize)
+	lazy := partalloc.MustNew(partalloc.AlgoLazy, partalloc.MustNewMachine(4), partalloc.WithD(1))
 	l := partalloc.Simulate(lazy, seq, partalloc.SimOptions{})
 
 	fmt.Printf("greedy: load %d (optimal %d)\n", g.MaxLoad, g.LStar)
@@ -24,12 +24,12 @@ func ExampleSimulate() {
 	// 1-reallocation: load 1 after 1 reallocation
 }
 
-// ExampleNewPeriodic shows the d-reallocation algorithm A_M meeting its
-// Theorem 4.2 bound on a random workload.
-func ExampleNewPeriodic() {
+// ExampleNew_periodic shows the d-reallocation algorithm A_M, built with
+// New, meeting its Theorem 4.2 bound on a random workload.
+func ExampleNew_periodic() {
 	const n, d = 64, 2
 	m := partalloc.MustNewMachine(n)
-	a := partalloc.NewPeriodic(m, d, partalloc.DecreasingSize)
+	a := partalloc.MustNew(partalloc.AlgoPeriodic, m, partalloc.WithD(d))
 	seq := partalloc.SaturationWorkload(partalloc.SaturationConfig{N: n, Events: 2000, Seed: 1})
 	res := partalloc.Simulate(a, seq, partalloc.SimOptions{})
 
@@ -44,7 +44,7 @@ func ExampleNewPeriodic() {
 // optimal load stays 1.
 func ExampleRunAdversary() {
 	m := partalloc.MustNewMachine(1024)
-	res := partalloc.RunAdversary(partalloc.NewGreedy(m), -1)
+	res := partalloc.RunAdversary(partalloc.MustNew(partalloc.AlgoGreedy, m), -1)
 	fmt.Printf("forced load %d, optimal %d, promised ≥ %d\n",
 		res.FinalLoad, res.OptimalLoad, res.LowerBound)
 	// Output:

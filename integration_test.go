@@ -26,16 +26,24 @@ func TestTraceReplayDeterminism(t *testing.T) {
 	}
 
 	mks := map[string]func() partalloc.Allocator{
-		"greedy":   func() partalloc.Allocator { return partalloc.NewGreedy(partalloc.MustNewMachine(n)) },
-		"basic":    func() partalloc.Allocator { return partalloc.NewBasic(partalloc.MustNewMachine(n)) },
-		"constant": func() partalloc.Allocator { return partalloc.NewConstant(partalloc.MustNewMachine(n)) },
+		"greedy": func() partalloc.Allocator {
+			return partalloc.MustNew(partalloc.AlgoGreedy, partalloc.MustNewMachine(n))
+		},
+		"basic": func() partalloc.Allocator {
+			return partalloc.MustNew(partalloc.AlgoBasic, partalloc.MustNewMachine(n))
+		},
+		"constant": func() partalloc.Allocator {
+			return partalloc.MustNew(partalloc.AlgoConstant, partalloc.MustNewMachine(n))
+		},
 		"periodic": func() partalloc.Allocator {
-			return partalloc.NewPeriodic(partalloc.MustNewMachine(n), 2, partalloc.DecreasingSize)
+			return partalloc.MustNew(partalloc.AlgoPeriodic, partalloc.MustNewMachine(n), partalloc.WithD(2))
 		},
 		"lazy": func() partalloc.Allocator {
-			return partalloc.NewLazy(partalloc.MustNewMachine(n), 2, partalloc.DecreasingSize)
+			return partalloc.MustNew(partalloc.AlgoLazy, partalloc.MustNewMachine(n), partalloc.WithD(2))
 		},
-		"random": func() partalloc.Allocator { return partalloc.NewRandom(partalloc.MustNewMachine(n), 9) },
+		"random": func() partalloc.Allocator {
+			return partalloc.MustNew(partalloc.AlgoRandom, partalloc.MustNewMachine(n), partalloc.WithSeed(9))
+		},
 	}
 	for name, mk := range mks {
 		a := partalloc.Simulate(mk(), orig, partalloc.SimOptions{})
@@ -57,10 +65,10 @@ func TestCrossAlgorithmDominance(t *testing.T) {
 		})
 		lstar := seq.OptimalLoad(n)
 
-		constant := partalloc.Simulate(partalloc.NewConstant(partalloc.MustNewMachine(n)), seq, partalloc.SimOptions{})
-		greedy := partalloc.Simulate(partalloc.NewGreedy(partalloc.MustNewMachine(n)), seq, partalloc.SimOptions{})
-		d1 := partalloc.Simulate(partalloc.NewPeriodic(partalloc.MustNewMachine(n), 1, partalloc.DecreasingSize), seq, partalloc.SimOptions{})
-		d3 := partalloc.Simulate(partalloc.NewPeriodic(partalloc.MustNewMachine(n), 3, partalloc.DecreasingSize), seq, partalloc.SimOptions{})
+		constant := partalloc.Simulate(partalloc.MustNew(partalloc.AlgoConstant, partalloc.MustNewMachine(n)), seq, partalloc.SimOptions{})
+		greedy := partalloc.Simulate(partalloc.MustNew(partalloc.AlgoGreedy, partalloc.MustNewMachine(n)), seq, partalloc.SimOptions{})
+		d1 := partalloc.Simulate(partalloc.MustNew(partalloc.AlgoPeriodic, partalloc.MustNewMachine(n), partalloc.WithD(1)), seq, partalloc.SimOptions{})
+		d3 := partalloc.Simulate(partalloc.MustNew(partalloc.AlgoPeriodic, partalloc.MustNewMachine(n), partalloc.WithD(3)), seq, partalloc.SimOptions{})
 
 		// A_C is optimal; everyone else is at least optimal.
 		if constant.MaxLoad != lstar {
@@ -99,7 +107,7 @@ func TestSchedulerMatchesOpenLoopWhenUncontended(t *testing.T) {
 		})
 		at += 2 // next arrival after the previous job surely finished
 	}
-	res := partalloc.Execute(partalloc.NewGreedy(partalloc.MustNewMachine(n)), w)
+	res := partalloc.Execute(partalloc.MustNew(partalloc.AlgoGreedy, partalloc.MustNewMachine(n)), w)
 	if res.MaxLoad != 1 {
 		t.Fatalf("max load %d, want 1", res.MaxLoad)
 	}

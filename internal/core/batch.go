@@ -32,42 +32,6 @@ func ApplyEvents(a Allocator, evs []task.Event) {
 	}
 }
 
-// ApplyBatch implements BatchApplier for A_B. Placement is first-fit over
-// copies and never reads the load tree, so the whole batch runs deferred.
-func (b *Basic) ApplyBatch(evs []task.Event) {
-	b.loads.BeginDeferred()
-	ApplyEvents(b, evs)
-	b.loads.EndDeferred()
-}
-
-// ApplyBatch implements BatchApplier for A_M. The d·N reallocation
-// threshold is evaluated per arrival exactly as in Arrive, so batch and
-// serial application reallocate at the same events. reallocate() may swap
-// the load tree mid-batch; the replacement inherits deferred mode (see
-// reallocate), so the final EndDeferred lands on whichever tree is current.
-func (p *Periodic) ApplyBatch(evs []task.Event) {
-	if p.greedy != nil {
-		ApplyEvents(p, evs)
-		return
-	}
-	p.loads.BeginDeferred()
-	ApplyEvents(p, evs)
-	p.loads.EndDeferred()
-}
-
-// ApplyBatch implements BatchApplier for Lazy. Its reallocation trigger
-// reads the copy list (FindVacant), never the load tree, so deferring the
-// aggregates cannot change any decision.
-func (l *Lazy) ApplyBatch(evs []task.Event) {
-	if l.greedy != nil {
-		ApplyEvents(l, evs)
-		return
-	}
-	l.loads.BeginDeferred()
-	ApplyEvents(l, evs)
-	l.loads.EndDeferred()
-}
-
 // ApplyBatch implements BatchApplier for A_Rand, whose placement is
 // oblivious to loads entirely.
 func (r *Random) ApplyBatch(evs []task.Event) {

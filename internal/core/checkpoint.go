@@ -425,15 +425,14 @@ func rebuildLoads(m *tree.Machine, nodes map[task.ID]tree.Node) *loadtree.Tree {
 	return loads
 }
 
-// rebuildCopyState derives a copy list and load tree from decoded copy-
-// mode state: failed leaves pre-blocked, numCopies fresh copies, then
-// every placement occupied verbatim. Copy.Occupy still validates
-// vacancy, blocking, and nesting, so a CRC-valid snapshot describing an
-// impossible layout fails here (caught by guardRestore) instead of
-// corrupting live state.
-func rebuildCopyState(m *tree.Machine, numCopies int, failed []int, placed map[task.ID]placementRec) (*copies.List, *loadtree.Tree) {
+// rebuildCopyState derives a copy kernel from decoded copy-mode state:
+// failed leaves pre-blocked, numCopies fresh copies, then every placement
+// occupied verbatim. Copy.Occupy still validates vacancy, blocking, and
+// nesting, so a CRC-valid snapshot describing an impossible layout fails
+// here (caught by guardRestore) instead of corrupting live state.
+func rebuildCopyState(m *tree.Machine, numCopies int, placed map[task.ID]placementRec, faults faultSet) copyState {
 	list := copies.NewList(m)
-	for _, pe := range failed {
+	for _, pe := range faults.failed {
 		list.Block(m.LeafOf(pe))
 	}
 	list.Grow(numCopies)
@@ -450,7 +449,7 @@ func rebuildCopyState(m *tree.Machine, numCopies int, failed []int, placed map[t
 		loads.Place(rec.node)
 	}
 	loads.EndDeferred()
-	return list, loads
+	return copyState{m: m, list: list, loads: loads, placed: placed, faults: faults}
 }
 
 // rebuildFailedUnder derives Greedy's per-node failure counters from the
@@ -532,14 +531,35 @@ func decRNG(d *snapDec) (seed int64, draws uint64) {
 	return seed, draws
 }
 
-// --- A_G ---------------------------------------------------------------
+// --- node kernel: A_G and the seeded allocators -------------------------
+
+// encGreedy emits the A_G body — node placements, then the fault ledger —
+// shared by A_G and A_M's greedy mode.
+func (e *snapEnc) encGreedy(g *Greedy) {
+	e.encPlacedNodes(g.placed)
+	e.encFaults(&g.faults)
+}
+
+// decGreedy reads an A_G body and rebuilds the allocator from it; nil
+// once the decoder has failed.
+func decGreedy(d *snapDec, m *tree.Machine) *Greedy {
+	placed := decPlacedNodes(d, m)
+	faults := decFaults(d, m)
+	if d.err != nil {
+		return nil
+	}
+	return &Greedy{
+		nodeState:   nodeState{m: m, loads: rebuildLoads(m, placed), placed: placed},
+		faults:      faults,
+		failedUnder: rebuildFailedUnder(m, faults.failed),
+	}
+}
 
 // Snapshot implements Checkpointable.
 func (g *Greedy) Snapshot() []byte {
 	e := newSnapEnc(tagGreedy)
 	e.u(uint64(g.m.N()))
-	e.encPlacedNodes(g.placed)
-	e.encFaults(&g.faults)
+	e.encGreedy(g)
 	return e.finish()
 }
 
@@ -551,27 +571,79 @@ func (g *Greedy) Restore(data []byte) error {
 			return err
 		}
 		d.machineN(g.m)
-		placed := decPlacedNodes(d, g.m)
-		faults := decFaults(d, g.m)
+		next := decGreedy(d, g.m)
 		if err := d.close(); err != nil {
 			return err
 		}
-		g.loads = rebuildLoads(g.m, placed)
-		g.placed = placed
-		g.faults = faults
-		g.failedUnder = rebuildFailedUnder(g.m, faults.failed)
+		*g = *next
 		return nil
 	})
 }
 
-// --- A_B ---------------------------------------------------------------
+// snapshot emits the body shared by the seeded allocators under their
+// tag: PRNG position (seed, raw draws; see countingSource), then node
+// placements.
+func (s *seededState) snapshot(tag byte) []byte {
+	e := newSnapEnc(tag)
+	e.u(uint64(s.m.N()))
+	e.encRNG(s.src)
+	e.encPlacedNodes(s.placed)
+	return e.finish()
+}
+
+// restore is snapshot's inverse.
+func (s *seededState) restore(data []byte, tag byte) error {
+	return guardRestore(func() error {
+		d, err := openSnap(data, tag)
+		if err != nil {
+			return err
+		}
+		d.machineN(s.m)
+		seed, draws := decRNG(d)
+		placed := decPlacedNodes(d, s.m)
+		if err := d.close(); err != nil {
+			return err
+		}
+		src := newCountingSource(seed)
+		src.restoreTo(seed, draws)
+		loads := rebuildLoads(s.m, placed)
+		*s = seededState{nodeState: nodeState{m: s.m, loads: loads, placed: placed}, rng: rand.New(src), src: src}
+		return nil
+	})
+}
+
+// Snapshot implements Checkpointable.
+func (r *Random) Snapshot() []byte { return r.snapshot(tagRandom) }
+
+// Restore implements Checkpointable.
+func (r *Random) Restore(data []byte) error { return r.restore(data, tagRandom) }
+
+// Snapshot implements Checkpointable.
+func (t *TwoChoice) Snapshot() []byte { return t.snapshot(tagTwoChoice) }
+
+// Restore implements Checkpointable.
+func (t *TwoChoice) Restore(data []byte) error { return t.restore(data, tagTwoChoice) }
+
+// Snapshot implements Checkpointable.
+func (g *GreedyRandomTie) Snapshot() []byte { return g.snapshot(tagGreedyTie) }
+
+// Restore implements Checkpointable.
+func (g *GreedyRandomTie) Restore(data []byte) error { return g.restore(data, tagGreedyTie) }
+
+// --- copy kernel: A_B ----------------------------------------------------
+
+// encCopies emits the copy-mode placement body: the copy-list length,
+// then each task's copy and node.
+func (e *snapEnc) encCopies(c *copyState) {
+	e.u(uint64(c.list.Len()))
+	e.encPlacedRecs(c.placed)
+}
 
 // Snapshot implements Checkpointable.
 func (b *Basic) Snapshot() []byte {
 	e := newSnapEnc(tagBasic)
 	e.u(uint64(b.m.N()))
-	e.u(uint64(b.list.Len()))
-	e.encPlacedRecs(b.placed)
+	e.encCopies(&b.copyState)
 	e.encFaults(&b.faults)
 	return e.finish()
 }
@@ -590,260 +662,93 @@ func (b *Basic) Restore(data []byte) error {
 		if err := d.close(); err != nil {
 			return err
 		}
-		list, loads := rebuildCopyState(b.m, numCopies, faults.failed, placed)
-		b.list, b.loads, b.placed, b.faults = list, loads, placed, faults
+		b.copyState = rebuildCopyState(b.m, numCopies, placed, faults)
 		return nil
 	})
 }
 
-// --- A_C / A_M ----------------------------------------------------------
+// --- A_M kernel: A_C / A_M and A_M-lazy ----------------------------------
 
-// Snapshot implements Checkpointable. The mode byte is load-bearing: a
-// copy-mode instance whose d was raised past the greedy bound at run
-// time (Degradable) stays in copy mode, so the mode cannot be derived
-// from d alone.
-func (p *Periodic) Snapshot() []byte {
-	e := newSnapEnc(tagPeriodic)
-	e.u(uint64(p.m.N()))
-	e.i(int64(p.d))
-	e.byte(byte(p.order))
-	e.bool(p.lazy)
-	e.bool(p.greedy != nil)
-	if p.greedy != nil {
-		e.encPlacedNodes(p.greedy.placed)
-		e.encFaults(&p.greedy.faults)
+// snapshot emits the snapshot shared by Periodic and Lazy under their
+// tag. A non-nil lazy is Periodic's on-demand knob, written after the
+// order; Lazy's trigger is fixed, so its snapshots carry no such byte.
+// The mode byte is load-bearing: a copy-mode instance whose d was raised
+// past the greedy bound at run time (Degradable) stays in copy mode, so
+// the mode cannot be derived from d alone. In copy mode the trigger
+// state — sinceRealo and activeSize — rides in the realloc ledger.
+func (a *amState) snapshot(tag byte, lazy *bool) []byte {
+	e := newSnapEnc(tag)
+	e.u(uint64(a.m.N()))
+	e.i(int64(a.d))
+	e.byte(byte(a.order))
+	if lazy != nil {
+		e.bool(*lazy)
+	}
+	e.bool(a.greedy != nil)
+	if a.greedy != nil {
+		e.encGreedy(a.greedy)
 	} else {
-		e.u(uint64(p.list.Len()))
-		e.encPlacedRecs(p.placed)
-		e.encRealloc(p.sinceRealo, p.activeSize, p.stats)
-		e.encFaults(&p.faults)
+		e.encCopies(&a.copyState)
+		e.encRealloc(a.sinceRealo, a.activeSize, a.stats)
+		e.encFaults(&a.faults)
 	}
 	return e.finish()
 }
 
-// Restore implements Checkpointable.
-func (p *Periodic) Restore(data []byte) error {
+// restore is snapshot's inverse. The migration observer is not snapshot
+// state and survives.
+func (a *amState) restore(data []byte, tag byte, lazy *bool) error {
 	return guardRestore(func() error {
-		d, err := openSnap(data, tagPeriodic)
+		d, err := openSnap(data, tag)
 		if err != nil {
 			return err
 		}
-		d.machineN(p.m)
-		pd := d.i()
+		d.machineN(a.m)
+		ad := d.i()
 		order := ReallocOrder(d.byte())
-		lazy := d.bool()
+		var lz bool
+		if lazy != nil {
+			lz = d.bool()
+		}
 		greedyMode := d.bool()
-		if d.err == nil && (pd < -1 || pd > int64(p.m.N())<<20) {
-			d.fail("implausible d=%d", pd)
+		if d.err == nil && (ad < -1 || ad > int64(a.m.N())<<20) {
+			d.fail("implausible d=%d", ad)
 		}
 		if d.err == nil && order > ArrivalOrder {
 			d.fail("unknown reallocation order %d", order)
 		}
+		next := amState{copyState: copyState{m: a.m}, d: int(ad), order: order, observer: a.observer}
+		numCopies := 0
 		if greedyMode {
-			placed := decPlacedNodes(d, p.m)
-			faults := decFaults(d, p.m)
-			if err := d.close(); err != nil {
-				return err
-			}
-			g := NewGreedy(p.m)
-			g.loads = rebuildLoads(p.m, placed)
-			g.placed = placed
-			g.faults = faults
-			g.failedUnder = rebuildFailedUnder(p.m, faults.failed)
-			p.d, p.order, p.lazy = int(pd), order, lazy
-			p.greedy = g
-			p.list, p.loads, p.placed = nil, nil, nil
-			p.sinceRealo, p.activeSize, p.stats, p.faults = 0, 0, ReallocStats{}, faultSet{}
-			return nil
+			next.greedy = decGreedy(d, a.m)
+		} else {
+			numCopies = decCopies(d, a.m)
+			next.placed = decPlacedRecs(d, a.m, numCopies)
+			next.sinceRealo, next.activeSize, next.stats = decRealloc(d)
+			next.faults = decFaults(d, a.m)
 		}
-		numCopies := decCopies(d, p.m)
-		placed := decPlacedRecs(d, p.m, numCopies)
-		sinceRealo, activeSize, stats := decRealloc(d)
-		faults := decFaults(d, p.m)
 		if err := d.close(); err != nil {
 			return err
 		}
-		list, loads := rebuildCopyState(p.m, numCopies, faults.failed, placed)
-		p.d, p.order, p.lazy = int(pd), order, lazy
-		p.greedy = nil
-		p.list, p.loads, p.placed = list, loads, placed
-		p.sinceRealo, p.activeSize, p.stats, p.faults = sinceRealo, activeSize, stats, faults
+		if !greedyMode {
+			next.copyState = rebuildCopyState(a.m, numCopies, next.placed, next.faults)
+		}
+		*a = next
+		if lazy != nil {
+			*lazy = lz
+		}
 		return nil
 	})
 }
-
-// --- A_M-lazy -----------------------------------------------------------
-
-// Snapshot implements Checkpointable. The trigger state — sinceRealo and
-// activeSize, which gate the on-demand reallocation condition — rides in
-// the realloc ledger.
-func (l *Lazy) Snapshot() []byte {
-	e := newSnapEnc(tagLazy)
-	e.u(uint64(l.m.N()))
-	e.i(int64(l.d))
-	e.byte(byte(l.order))
-	e.bool(l.greedy != nil)
-	if l.greedy != nil {
-		e.encPlacedNodes(l.greedy.placed)
-		e.encFaults(&l.greedy.faults)
-	} else {
-		e.u(uint64(l.list.Len()))
-		e.encPlacedRecs(l.placed)
-		e.encRealloc(l.sinceRealo, l.activeSize, l.stats)
-		e.encFaults(&l.faults)
-	}
-	return e.finish()
-}
-
-// Restore implements Checkpointable.
-func (l *Lazy) Restore(data []byte) error {
-	return guardRestore(func() error {
-		d, err := openSnap(data, tagLazy)
-		if err != nil {
-			return err
-		}
-		d.machineN(l.m)
-		ld := d.i()
-		order := ReallocOrder(d.byte())
-		greedyMode := d.bool()
-		if d.err == nil && (ld < -1 || ld > int64(l.m.N())<<20) {
-			d.fail("implausible d=%d", ld)
-		}
-		if d.err == nil && order > ArrivalOrder {
-			d.fail("unknown reallocation order %d", order)
-		}
-		if greedyMode {
-			placed := decPlacedNodes(d, l.m)
-			faults := decFaults(d, l.m)
-			if err := d.close(); err != nil {
-				return err
-			}
-			g := NewGreedy(l.m)
-			g.loads = rebuildLoads(l.m, placed)
-			g.placed = placed
-			g.faults = faults
-			g.failedUnder = rebuildFailedUnder(l.m, faults.failed)
-			l.d, l.order = int(ld), order
-			l.greedy = g
-			l.list, l.loads, l.placed = nil, nil, nil
-			l.sinceRealo, l.activeSize, l.stats, l.faults = 0, 0, ReallocStats{}, faultSet{}
-			return nil
-		}
-		numCopies := decCopies(d, l.m)
-		placed := decPlacedRecs(d, l.m, numCopies)
-		sinceRealo, activeSize, stats := decRealloc(d)
-		faults := decFaults(d, l.m)
-		if err := d.close(); err != nil {
-			return err
-		}
-		list, loads := rebuildCopyState(l.m, numCopies, faults.failed, placed)
-		l.d, l.order = int(ld), order
-		l.greedy = nil
-		l.list, l.loads, l.placed = list, loads, placed
-		l.sinceRealo, l.activeSize, l.stats, l.faults = sinceRealo, activeSize, stats, faults
-		return nil
-	})
-}
-
-// --- A_Rand -------------------------------------------------------------
-
-// Snapshot implements Checkpointable. PRNG position is (seed, raw
-// draws); see countingSource.
-func (r *Random) Snapshot() []byte {
-	e := newSnapEnc(tagRandom)
-	e.u(uint64(r.m.N()))
-	e.encRNG(r.src)
-	e.encPlacedNodes(r.placed)
-	return e.finish()
-}
-
-// Restore implements Checkpointable.
-func (r *Random) Restore(data []byte) error {
-	return guardRestore(func() error {
-		d, err := openSnap(data, tagRandom)
-		if err != nil {
-			return err
-		}
-		d.machineN(r.m)
-		seed, draws := decRNG(d)
-		placed := decPlacedNodes(d, r.m)
-		if err := d.close(); err != nil {
-			return err
-		}
-		src := newCountingSource(seed)
-		src.restoreTo(seed, draws)
-		r.src = src
-		r.rng = rand.New(src)
-		r.loads = rebuildLoads(r.m, placed)
-		r.placed = placed
-		return nil
-	})
-}
-
-// --- two-choice ---------------------------------------------------------
 
 // Snapshot implements Checkpointable.
-func (tc *TwoChoice) Snapshot() []byte {
-	e := newSnapEnc(tagTwoChoice)
-	e.u(uint64(tc.m.N()))
-	e.encRNG(tc.src)
-	e.encPlacedNodes(tc.placed)
-	return e.finish()
-}
+func (p *Periodic) Snapshot() []byte { return p.snapshot(tagPeriodic, &p.lazy) }
 
 // Restore implements Checkpointable.
-func (tc *TwoChoice) Restore(data []byte) error {
-	return guardRestore(func() error {
-		d, err := openSnap(data, tagTwoChoice)
-		if err != nil {
-			return err
-		}
-		d.machineN(tc.m)
-		seed, draws := decRNG(d)
-		placed := decPlacedNodes(d, tc.m)
-		if err := d.close(); err != nil {
-			return err
-		}
-		src := newCountingSource(seed)
-		src.restoreTo(seed, draws)
-		tc.src = src
-		tc.rng = rand.New(src)
-		tc.loads = rebuildLoads(tc.m, placed)
-		tc.placed = placed
-		return nil
-	})
-}
-
-// --- greedy, random ties ------------------------------------------------
+func (p *Periodic) Restore(data []byte) error { return p.restore(data, tagPeriodic, &p.lazy) }
 
 // Snapshot implements Checkpointable.
-func (g *GreedyRandomTie) Snapshot() []byte {
-	e := newSnapEnc(tagGreedyTie)
-	e.u(uint64(g.m.N()))
-	e.encRNG(g.src)
-	e.encPlacedNodes(g.placed)
-	return e.finish()
-}
+func (l *Lazy) Snapshot() []byte { return l.snapshot(tagLazy, nil) }
 
 // Restore implements Checkpointable.
-func (g *GreedyRandomTie) Restore(data []byte) error {
-	return guardRestore(func() error {
-		d, err := openSnap(data, tagGreedyTie)
-		if err != nil {
-			return err
-		}
-		d.machineN(g.m)
-		seed, draws := decRNG(d)
-		placed := decPlacedNodes(d, g.m)
-		if err := d.close(); err != nil {
-			return err
-		}
-		src := newCountingSource(seed)
-		src.restoreTo(seed, draws)
-		g.src = src
-		g.rng = rand.New(src)
-		g.loads = rebuildLoads(g.m, placed)
-		g.placed = placed
-		return nil
-	})
-}
+func (l *Lazy) Restore(data []byte) error { return l.restore(data, tagLazy, nil) }

@@ -30,6 +30,14 @@ func chkConfigs() []chkConfig {
 		p.SetLazyRealloc(true)
 		return p
 	}
+	// raisedPeriodic is a copy-mode A_M whose d was raised to the greedy
+	// bound at run time: the one state whose mode byte cannot be derived
+	// from d.
+	raisedPeriodic := func(m *tree.Machine) Allocator {
+		p := NewPeriodic(m, 2, DecreasingSize)
+		p.SetEffectiveD(mathx.GreedyBound(m.N()))
+		return p
+	}
 	return []chkConfig{
 		{"greedy", mk(NewGreedy), mk(NewGreedy), true},
 		{"basic", mk(NewBasic), mk(NewBasic), true},
@@ -39,6 +47,8 @@ func chkConfigs() []chkConfig {
 		{"periodic-lazy", lazyPeriodic, mkD(NewPeriodic, 2), true},
 		{"lazy-d1", mkD(NewLazy, 1), mkD(NewLazy, 1), true},
 		{"lazy-dinf", mkD(NewLazy, -1), mkD(NewLazy, -1), true},
+		{"periodic-raised", raisedPeriodic, mkD(NewPeriodic, 2), true},
+		{"lazy-dbound", mkD(NewLazy, 3), mkD(NewLazy, 3), true},
 		{"random", mkSeed(NewRandom, 42), mkSeed(NewRandom, 999), false},
 		{"twochoice", mkSeed(NewTwoChoice, 42), mkSeed(NewTwoChoice, 999), false},
 		{"greedytie", mkSeed(NewGreedyRandomTie, 42), mkSeed(NewGreedyRandomTie, 999), false},

@@ -219,7 +219,7 @@ func TestReallocProcedureLemma1(t *testing.T) {
 			tasks = append(tasks, task.Task{ID: task.ID(i + 1), Size: size})
 			total += size
 		}
-		list, placed := ReallocateAll(m, tasks, DecreasingSize)
+		list, placed := ReallocateAll(m, tasks, DecreasingSize, nil)
 		want := mathx.CeilDiv(total, n)
 		if list.Len() != want {
 			t.Fatalf("trial %d: A_R used %d copies, want ⌈%d/%d⌉ = %d",
@@ -256,12 +256,12 @@ func TestReallocOrderIrrelevantForFreshSets(t *testing.T) {
 			total += size
 		}
 		want := mathx.CeilDiv(total, 8)
-		listA, _ := ReallocateAll(m, tasks, ArrivalOrder)
+		listA, _ := ReallocateAll(m, tasks, ArrivalOrder, nil)
 		if listA.Len() != want {
 			t.Fatalf("trial %d: arrival-order used %d copies, want %d (tasks %v)",
 				trial, listA.Len(), want, tasks)
 		}
-		listD, _ := ReallocateAll(m, tasks, DecreasingSize)
+		listD, _ := ReallocateAll(m, tasks, DecreasingSize, nil)
 		if listD.Len() != want {
 			t.Fatalf("trial %d: decreasing-size used %d copies, want %d", trial, listD.Len(), want)
 		}

@@ -2,10 +2,8 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"partalloc/internal/errs"
-	"partalloc/internal/loadtree"
 	"partalloc/internal/task"
 	"partalloc/internal/tree"
 )
@@ -20,9 +18,7 @@ import (
 // failure are re-placed by the same rule (leftmost minimum-load healthy
 // submachine, largest tasks first).
 type Greedy struct {
-	m      *tree.Machine
-	loads  *loadtree.Tree
-	placed map[task.ID]tree.Node
+	nodeState
 	faults faultSet
 	// failedUnder[v] counts failed PEs in v's subtree; allocated lazily on
 	// the first failure so fault-free runs keep the O(log N) placement path.
@@ -31,7 +27,7 @@ type Greedy struct {
 
 // NewGreedy returns A_G on machine m.
 func NewGreedy(m *tree.Machine) *Greedy {
-	return &Greedy{m: m, loads: loadtree.New(m), placed: make(map[task.ID]tree.Node)}
+	return &Greedy{nodeState: newNodeState(m)}
 }
 
 // GreedyFactory builds A_G allocators.
@@ -42,20 +38,14 @@ func GreedyFactory() Factory {
 // Name implements Allocator.
 func (g *Greedy) Name() string { return "A_G" }
 
-// Machine implements Allocator.
-func (g *Greedy) Machine() *tree.Machine { return g.m }
-
 // Arrive implements Allocator using the leftmost-minimum-load rule.
 func (g *Greedy) Arrive(t task.Task) tree.Node {
-	checkArrival(g.m, t)
-	if _, dup := g.placed[t.ID]; dup {
-		panicDuplicate(t.ID, g.Name())
-	}
-	v := g.choose(t.Size)
-	g.loads.Place(v)
-	g.placed[t.ID] = v
-	return v
+	g.admit(t, g)
+	return g.place(t.ID, g.choose(t.Size))
 }
+
+// Depart implements Allocator.
+func (g *Greedy) Depart(id task.ID) { g.depart(id, g) }
 
 // choose picks the leftmost minimum-load submachine of the given size,
 // excluding any that covers a failed PE.
@@ -79,31 +69,6 @@ func (g *Greedy) choose(size int) tree.Node {
 	return best
 }
 
-// Depart implements Allocator.
-func (g *Greedy) Depart(id task.ID) {
-	v, ok := g.placed[id]
-	if !ok {
-		panic(fmt.Errorf("%w: %d (A_G)", ErrUnknownTask, id))
-	}
-	g.loads.Remove(v)
-	delete(g.placed, id)
-}
-
-// MaxLoad implements Allocator.
-func (g *Greedy) MaxLoad() int { return g.loads.MaxLoad() }
-
-// PELoads implements Allocator.
-func (g *Greedy) PELoads() []int { return g.loads.Loads() }
-
-// Placement implements Allocator.
-func (g *Greedy) Placement(id task.ID) (tree.Node, bool) {
-	v, ok := g.placed[id]
-	return v, ok
-}
-
-// Active implements Allocator.
-func (g *Greedy) Active() int { return len(g.placed) }
-
 // FailPE implements FaultTolerant.
 func (g *Greedy) FailPE(pe int) []Migration {
 	g.faults.markFailed(g.m, pe)
@@ -125,21 +90,14 @@ func (g *Greedy) FailPE(pe int) []Migration {
 			victims = append(victims, task.Task{ID: id, Size: g.m.Size(node)})
 		}
 	}
-	sort.Slice(victims, func(i, j int) bool {
-		if victims[i].Size != victims[j].Size {
-			return victims[i].Size > victims[j].Size
-		}
-		return victims[i].ID < victims[j].ID
-	})
+	sortDecreasing(victims)
 	for _, t := range victims {
 		g.loads.Remove(g.placed[t.ID])
 	}
 	migs := make([]Migration, 0, len(victims))
 	for _, t := range victims {
 		old := g.placed[t.ID]
-		v := g.choose(t.Size)
-		g.loads.Place(v)
-		g.placed[t.ID] = v
+		v := g.place(t.ID, g.choose(t.Size))
 		migs = append(migs, Migration{ID: t.ID, From: old, To: v})
 	}
 	g.faults.recordMigrations(migs, g.m)

@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 
-	"partalloc/internal/copies"
-	"partalloc/internal/loadtree"
 	"partalloc/internal/task"
 	"partalloc/internal/tree"
 )
@@ -26,38 +24,18 @@ import (
 // copies, and every new copy is created while the accumulated size is
 // below d·N, so at most d extra copies exist at any time — and in practice
 // reallocates far less often (see experiment E8).
-type Lazy struct {
-	m          *tree.Machine
-	d          int
-	greedy     *Greedy // delegation when d ≥ greedy bound, as in A_M
-	order      ReallocOrder
-	list       *copies.List
-	loads      *loadtree.Tree
-	placed     map[task.ID]placementRec
-	sinceRealo int64
-	activeSize int64
-	stats      ReallocStats
-	observer   MigrationObserver
-	faults     faultSet
-}
-
-// SetMigrationObserver implements Observable.
-func (l *Lazy) SetMigrationObserver(fn MigrationObserver) { l.observer = fn }
+//
+// Unlike Periodic, Lazy delegates to A_G only for d = ∞: a finite d at or
+// above the greedy bound keeps the copy machinery and its on-demand
+// trigger.
+type Lazy struct{ amState }
 
 // NewLazy returns the lazy d-reallocation algorithm on machine m. d < 0
 // encodes ∞. d = 0 is allowed: the budget is always available, so it
 // reallocates whenever A_B would grow the copy count, which also achieves
 // the optimal load L*.
 func NewLazy(m *tree.Machine, d int, order ReallocOrder) *Lazy {
-	l := &Lazy{m: m, d: d, order: order}
-	if d < 0 {
-		l.greedy = NewGreedy(m)
-	} else {
-		l.list = copies.NewList(m)
-		l.loads = loadtree.New(m)
-		l.placed = make(map[task.ID]placementRec)
-	}
-	return l
+	return &Lazy{newAMState(m, d, order, d < 0)}
 }
 
 // LazyFactory builds Lazy(d) allocators.
@@ -76,20 +54,12 @@ func (l *Lazy) Name() string {
 	return fmt.Sprintf("A_M-lazy(d=%d)", l.d)
 }
 
-// Machine implements Allocator.
-func (l *Lazy) Machine() *tree.Machine { return l.m }
-
 // Arrive implements Allocator.
 func (l *Lazy) Arrive(t task.Task) tree.Node {
 	if l.greedy != nil {
 		return l.greedy.Arrive(t)
 	}
-	checkArrival(l.m, t)
-	if _, dup := l.placed[t.ID]; dup {
-		panicDuplicate(t.ID, l.Name())
-	}
-	l.sinceRealo += int64(t.Size)
-	l.activeSize += int64(t.Size)
+	l.admit(t, l)
 	// Would A_B need a new copy, and is the reallocation budget earned?
 	needNew := !l.list.HasVacant(t.Size)
 	// Reallocating is only worthwhile if compaction actually avoids the new
@@ -97,159 +67,22 @@ func (l *Lazy) Arrive(t task.Task) tree.Node {
 	// already exist. Otherwise the budget is saved for later.
 	n64 := int64(l.m.N())
 	helps := (l.activeSize+n64-1)/n64 <= int64(l.list.Len())
-	if needNew && helps && l.sinceRealo >= int64(l.d)*n64 {
-		l.placed[t.ID] = placementRec{copyIdx: -1, node: 0, size: t.Size}
-		l.reallocate()
-		l.sinceRealo = 0
-		return l.placed[t.ID].node
-	}
-	ci, v := l.list.Place(t.Size)
-	l.loads.Place(v)
-	l.placed[t.ID] = placementRec{copyIdx: ci, node: v, size: t.Size}
-	return v
-}
-
-func (l *Lazy) reallocate() {
-	tasks := make([]task.Task, 0, len(l.placed))
-	//lint:ignore detorder ReallocateAll re-sorts tasks with a total order (size, then ID), so collection order cannot matter
-	for id, rec := range l.placed {
-		tasks = append(tasks, task.Task{ID: id, Size: rec.size})
-	}
-	list, placed := ReallocateAllAvoiding(l.m, tasks, l.order, l.faults.failed)
-	l.stats.Reallocations++
-	newLoads := loadtree.New(l.m)
-	// Same deferred-build rule as Periodic.reallocate: cheaper above the
-	// size heuristic, and mandatory mid-batch so the swapped-in tree
-	// inherits deferred mode.
-	lv := l.m.Levels() + 1
-	if l.loads.Deferred() || len(placed)*lv*lv >= 4*l.m.NumNodes() {
-		newLoads.BeginDeferred()
-	}
-	for id, rec := range placed {
-		old := l.placed[id]
-		if old.node != 0 && old.node != rec.node {
-			l.stats.Migrations++
-			l.stats.MovedPEs += int64(rec.size)
-			if l.observer != nil {
-				l.observer(id, old.node, rec.node)
-			}
-		}
-		newLoads.Place(rec.node)
-	}
-	if newLoads.Deferred() && !l.loads.Deferred() {
-		newLoads.EndDeferred()
-	}
-	l.list = list
-	l.placed = placed
-	l.loads = newLoads
+	return l.settle(t, needNew && helps && l.sinceRealo >= int64(l.d)*n64)
 }
 
 // Depart implements Allocator.
-func (l *Lazy) Depart(id task.ID) {
-	if l.greedy != nil {
-		l.greedy.Depart(id)
-		return
-	}
-	rec, ok := l.placed[id]
-	if !ok {
-		panic(fmt.Errorf("%w: %d (%s)", ErrUnknownTask, id, l.Name()))
-	}
-	l.list.Vacate(rec.copyIdx, rec.node)
-	l.loads.Remove(rec.node)
-	l.activeSize -= int64(rec.size)
-	delete(l.placed, id)
-}
+func (l *Lazy) Depart(id task.ID) { l.depart(id, l) }
 
-// MaxLoad implements Allocator.
-func (l *Lazy) MaxLoad() int {
-	if l.greedy != nil {
-		return l.greedy.MaxLoad()
-	}
-	return l.loads.MaxLoad()
-}
-
-// PELoads implements Allocator.
-func (l *Lazy) PELoads() []int {
-	if l.greedy != nil {
-		return l.greedy.PELoads()
-	}
-	return l.loads.Loads()
-}
-
-// Placement implements Allocator.
-func (l *Lazy) Placement(id task.ID) (tree.Node, bool) {
-	if l.greedy != nil {
-		return l.greedy.Placement(id)
-	}
-	rec, ok := l.placed[id]
-	return rec.node, ok
-}
-
-// Active implements Allocator.
-func (l *Lazy) Active() int {
-	if l.greedy != nil {
-		return l.greedy.Active()
-	}
-	return len(l.placed)
-}
-
-// ReallocStats implements Reallocator.
-func (l *Lazy) ReallocStats() ReallocStats { return l.stats }
-
-// EffectiveD implements Degradable.
-func (l *Lazy) EffectiveD() int { return l.d }
+// ApplyBatch implements BatchApplier. The trigger reads the copy list,
+// never the load tree, so deferring the aggregates cannot change any
+// decision.
+func (l *Lazy) ApplyBatch(evs []task.Event) { l.applyBatch(l, evs) }
 
 // LazyRealloc implements Degradable; Lazy's trigger is always on-demand.
 func (l *Lazy) LazyRealloc() bool { return true }
-
-// SetEffectiveD implements Degradable.
-func (l *Lazy) SetEffectiveD(d int) bool {
-	if l.greedy != nil || d < 0 {
-		return false
-	}
-	l.d = d
-	return true
-}
 
 // SetLazyRealloc implements Degradable. Lazy cannot leave its on-demand
 // trigger, so only lazy=true "takes effect".
 func (l *Lazy) SetLazyRealloc(lazy bool) bool {
 	return l.greedy == nil && lazy
-}
-
-// FailPE implements FaultTolerant.
-func (l *Lazy) FailPE(pe int) []Migration {
-	if l.greedy != nil {
-		return l.greedy.FailPE(pe)
-	}
-	l.faults.markFailed(l.m, pe)
-	migs := failInCopies(l.m, l.list, l.loads, l.placed, pe, l.observer)
-	l.faults.recordMigrations(migs, l.m)
-	return migs
-}
-
-// RecoverPE implements FaultTolerant.
-func (l *Lazy) RecoverPE(pe int) {
-	if l.greedy != nil {
-		l.greedy.RecoverPE(pe)
-		return
-	}
-	l.faults.markRecovered(l.m, pe)
-	l.list.Unblock(l.m.LeafOf(pe))
-}
-
-// FailedPEs implements FaultTolerant.
-func (l *Lazy) FailedPEs() []int {
-	if l.greedy != nil {
-		return l.greedy.FailedPEs()
-	}
-	return l.faults.FailedPEs()
-}
-
-// ForcedStats implements FaultTolerant.
-func (l *Lazy) ForcedStats() ForcedStats {
-	if l.greedy != nil {
-		return l.greedy.ForcedStats()
-	}
-	return l.faults.ForcedStats()
 }

@@ -95,7 +95,7 @@ func TestQuickReallocateAllWellFormed(t *testing.T) {
 		if seed%2 == 0 {
 			order = ArrivalOrder
 		}
-		list, placed := ReallocateAll(m, tasks, order)
+		list, placed := ReallocateAll(m, tasks, order, nil)
 		if len(placed) != len(tasks) {
 			return false
 		}

@@ -1,10 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"math/rand"
-
-	"partalloc/internal/loadtree"
 	"partalloc/internal/task"
 	"partalloc/internal/tree"
 )
@@ -16,24 +12,11 @@ import (
 // that size — i.e. each with probability 2^x/N — ignoring current loads.
 // It never reallocates. Theorem 5.1: its maximum expected load is at most
 // (3·log N / log log N + 1) · L*.
-type Random struct {
-	m      *tree.Machine
-	rng    *rand.Rand
-	src    *countingSource // rng's source, counted so Snapshot can record PRNG position
-	loads  *loadtree.Tree
-	placed map[task.ID]tree.Node
-}
+type Random struct{ seededState }
 
 // NewRandom returns A_Rand on machine m, drawing from the given seed.
 func NewRandom(m *tree.Machine, seed int64) *Random {
-	src := newCountingSource(seed)
-	return &Random{
-		m:      m,
-		rng:    rand.New(src),
-		src:    src,
-		loads:  loadtree.New(m),
-		placed: make(map[task.ID]tree.Node),
-	}
+	return &Random{newSeededState(m, seed)}
 }
 
 // RandomFactory builds A_Rand allocators with the given seed.
@@ -44,43 +27,12 @@ func RandomFactory(seed int64) Factory {
 // Name implements Allocator.
 func (r *Random) Name() string { return "A_Rand" }
 
-// Machine implements Allocator.
-func (r *Random) Machine() *tree.Machine { return r.m }
-
 // Arrive implements Allocator with the oblivious uniform rule.
 func (r *Random) Arrive(t task.Task) tree.Node {
-	checkArrival(r.m, t)
-	if _, dup := r.placed[t.ID]; dup {
-		panicDuplicate(t.ID, r.Name())
-	}
+	r.admit(t, r)
 	k := r.m.NumSubmachines(t.Size)
-	v := r.m.SubmachineAt(t.Size, r.rng.Intn(k))
-	r.loads.Place(v)
-	r.placed[t.ID] = v
-	return v
+	return r.place(t.ID, r.m.SubmachineAt(t.Size, r.rng.Intn(k)))
 }
 
 // Depart implements Allocator.
-func (r *Random) Depart(id task.ID) {
-	v, ok := r.placed[id]
-	if !ok {
-		panic(fmt.Errorf("%w: %d (A_Rand)", ErrUnknownTask, id))
-	}
-	r.loads.Remove(v)
-	delete(r.placed, id)
-}
-
-// MaxLoad implements Allocator.
-func (r *Random) MaxLoad() int { return r.loads.MaxLoad() }
-
-// PELoads implements Allocator.
-func (r *Random) PELoads() []int { return r.loads.Loads() }
-
-// Placement implements Allocator.
-func (r *Random) Placement(id task.ID) (tree.Node, bool) {
-	v, ok := r.placed[id]
-	return v, ok
-}
-
-// Active implements Allocator.
-func (r *Random) Active() int { return len(r.placed) }
+func (r *Random) Depart(id task.ID) { r.depart(id, r) }

@@ -37,26 +37,16 @@ func (o ReallocOrder) String() string {
 // needed; within a copy, take the leftmost vacant submachine. It returns
 // the fresh copy list and the new placements.
 //
-// Ties in size are broken by task ID so the procedure is deterministic.
-func ReallocateAll(m *tree.Machine, tasks []task.Task, order ReallocOrder) (*copies.List, map[task.ID]placementRec) {
-	return ReallocateAllAvoiding(m, tasks, order, nil)
-}
-
-// ReallocateAllAvoiding is ReallocateAll on a machine with failed PEs: the
-// fresh copy list blocks every failed PE before placement, so no task in
-// the rebuilt layout covers one. It panics if some task has no healthy
-// submachine of its size.
-func ReallocateAllAvoiding(m *tree.Machine, tasks []task.Task, order ReallocOrder, failedPEs []int) (*copies.List, map[task.ID]placementRec) {
+// The fresh list blocks every PE in failedPEs before placement, so no
+// task in the rebuilt layout covers a failed PE; it panics if some task
+// has no healthy submachine of its size. Ties in size are broken by task
+// ID so the procedure is deterministic.
+func ReallocateAll(m *tree.Machine, tasks []task.Task, order ReallocOrder, failedPEs []int) (*copies.List, map[task.ID]placementRec) {
 	sorted := make([]task.Task, len(tasks))
 	copy(sorted, tasks)
 	switch order {
 	case DecreasingSize:
-		sort.Slice(sorted, func(i, j int) bool {
-			if sorted[i].Size != sorted[j].Size {
-				return sorted[i].Size > sorted[j].Size
-			}
-			return sorted[i].ID < sorted[j].ID
-		})
+		sortDecreasing(sorted)
 	case ArrivalOrder:
 		sort.Slice(sorted, func(i, j int) bool { return sorted[i].ID < sorted[j].ID })
 	}
@@ -70,4 +60,16 @@ func ReallocateAllAvoiding(m *tree.Machine, tasks []task.Task, order ReallocOrde
 		placed[t.ID] = placementRec{copyIdx: ci, node: v, size: t.Size}
 	}
 	return list, placed
+}
+
+// sortDecreasing puts tasks in A_R's first-fit-decreasing order: size
+// descending, ties by ascending ID. Tasks evicted by a PE failure are
+// re-placed in the same order, so forced moves pack like a reallocation.
+func sortDecreasing(ts []task.Task) {
+	sort.Slice(ts, func(i, j int) bool {
+		if ts[i].Size != ts[j].Size {
+			return ts[i].Size > ts[j].Size
+		}
+		return ts[i].ID < ts[j].ID
+	})
 }

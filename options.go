@@ -152,8 +152,8 @@ func WithTopology(t Topology) Option {
 // meaningful for the chosen algorithm). The returned Allocator is also a
 // Reallocator when algo reallocates.
 //
-// This constructor supersedes NewGreedy, NewBasic, NewConstant,
-// NewPeriodic, NewLazy and NewRandom.
+// New is the one constructor for the paper's algorithms; NewTwoChoice and
+// NewGreedyRandomTie remain as shorthands for the two baselines.
 func New(algo Algorithm, m *Machine, opts ...Option) (Allocator, error) {
 	if m == nil {
 		return nil, fmt.Errorf("partalloc: New(%v): nil machine", algo)

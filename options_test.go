@@ -51,34 +51,6 @@ func TestNewInvalidFaultScheduleRejected(t *testing.T) {
 	}
 }
 
-// TestNewMatchesDeprecatedConstructors runs each algorithm built both ways
-// over the same sequence and requires identical results.
-func TestNewMatchesDeprecatedConstructors(t *testing.T) {
-	m := partalloc.MustNewMachine(32)
-	seq := partalloc.PoissonWorkload(partalloc.WorkloadConfig{N: 32, Arrivals: 400, Seed: 11})
-	pairs := []struct {
-		name string
-		via  partalloc.Allocator
-		old  partalloc.Allocator
-	}{
-		{"A_G", partalloc.MustNew(partalloc.AlgoGreedy, m), partalloc.NewGreedy(m)},
-		{"A_B", partalloc.MustNew(partalloc.AlgoBasic, m), partalloc.NewBasic(m)},
-		{"A_C", partalloc.MustNew(partalloc.AlgoConstant, m), partalloc.NewConstant(m)},
-		{"A_M", partalloc.MustNew(partalloc.AlgoPeriodic, m, partalloc.WithD(2)), partalloc.NewPeriodic(m, 2, partalloc.DecreasingSize)},
-		{"lazy", partalloc.MustNew(partalloc.AlgoLazy, m, partalloc.WithD(2)), partalloc.NewLazy(m, 2, partalloc.DecreasingSize)},
-		{"A_Rand", partalloc.MustNew(partalloc.AlgoRandom, m, partalloc.WithSeed(9)), partalloc.NewRandom(m, 9)},
-	}
-	for _, p := range pairs {
-		t.Run(p.name, func(t *testing.T) {
-			got := partalloc.Simulate(p.via, seq, partalloc.SimOptions{})
-			want := partalloc.Simulate(p.old, seq, partalloc.SimOptions{})
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("option-built result %+v differs from constructor-built %+v", got, want)
-			}
-		})
-	}
-}
-
 // TestWithFaultsInjectsSchedule checks that Simulate injects a WithFaults
 // schedule with no SimOptions wiring, matching explicit opt.Faults.
 func TestWithFaultsInjectsSchedule(t *testing.T) {
@@ -95,7 +67,7 @@ func TestWithFaultsInjectsSchedule(t *testing.T) {
 		t.Fatalf("FaultEvents = %d, want 2", got.FaultEvents)
 	}
 
-	manual := partalloc.NewPeriodic(m, 2, partalloc.DecreasingSize)
+	manual := partalloc.MustNew(partalloc.AlgoPeriodic, m, partalloc.WithD(2))
 	want := partalloc.Simulate(manual, seq, partalloc.SimOptions{Faults: sched.Source()})
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("WithFaults result %+v differs from explicit wiring %+v", got, want)
@@ -130,7 +102,7 @@ func TestSimulateContextCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := partalloc.Simulate(partalloc.NewGreedy(m), seq, partalloc.SimOptions{})
+	want := partalloc.Simulate(partalloc.MustNew(partalloc.AlgoGreedy, m), seq, partalloc.SimOptions{})
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("ctx run %+v differs from plain run %+v", got, want)
 	}
@@ -156,7 +128,7 @@ func TestExecuteContextCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := partalloc.Execute(partalloc.NewGreedy(m), w)
+	want := partalloc.Execute(partalloc.MustNew(partalloc.AlgoGreedy, m), w)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("ctx run differs from plain run")
 	}

@@ -15,27 +15,32 @@
 //
 // # Algorithms
 //
-//   - NewGreedy — A_G: leftmost minimum-load placement, never reallocates;
-//     load ≤ ⌈½(log N+1)⌉·L* (Theorem 4.1).
-//   - NewBasic — A_B: first-fit over copies of the machine; load ≤ ⌈S/N⌉
-//     for total arrived size S (Lemma 2).
-//   - NewConstant — A_C: reallocates on every arrival; load = L* exactly
-//     (Theorem 3.1).
-//   - NewPeriodic — A_M(d): A_B plus a reallocation (first-fit-decreasing
-//     repacking) every d·N arrived units; load ≤ min{d+1,⌈½(log N+1)⌉}·L*
-//     (Theorem 4.2). No deterministic algorithm beats
-//     ⌈½(min{d,log N}+1)⌉·L* (Theorem 4.3).
-//   - NewLazy — A_M with on-demand reallocation timing: same guarantee,
-//     far less traffic (and it realizes the paper's §2 example exactly).
-//   - NewRandom — A_Rand: oblivious uniform placement; expected load ≤
+// New builds every algorithm from an Algorithm value and options:
+//
+//   - AlgoGreedy — A_G: leftmost minimum-load placement, never
+//     reallocates; load ≤ ⌈½(log N+1)⌉·L* (Theorem 4.1).
+//   - AlgoBasic — A_B: first-fit over copies of the machine; load ≤
+//     ⌈S/N⌉ for total arrived size S (Lemma 2).
+//   - AlgoConstant — A_C: reallocates on every arrival; load = L*
+//     exactly (Theorem 3.1).
+//   - AlgoPeriodic with WithD(d) — A_M(d): A_B plus a reallocation
+//     (first-fit-decreasing repacking) every d·N arrived units; load ≤
+//     min{d+1,⌈½(log N+1)⌉}·L* (Theorem 4.2). No deterministic algorithm
+//     beats ⌈½(min{d,log N}+1)⌉·L* (Theorem 4.3).
+//   - AlgoLazy with WithD(d) — A_M with on-demand reallocation timing:
+//     same guarantee, far less traffic (and it realizes the paper's §2
+//     example exactly).
+//   - AlgoRandom — A_Rand: oblivious uniform placement; expected load ≤
 //     (3·log N/log log N + 1)·L* (Theorem 5.1), and no randomized
 //     no-reallocation algorithm beats Ω((log N/log log N)^{1/3}) (Theorem
 //     5.2).
+//   - AlgoTwoChoice and AlgoGreedyRandomTie — the balanced-allocations
+//     baseline and the A_G tie-breaking ablation.
 //
 // # Quick start
 //
 //	m := partalloc.MustNewMachine(64)
-//	a := partalloc.NewPeriodic(m, 2, partalloc.DecreasingSize)
+//	a := partalloc.MustNew(partalloc.AlgoPeriodic, m, partalloc.WithD(2))
 //	seq := partalloc.PoissonWorkload(partalloc.WorkloadConfig{N: 64, Arrivals: 500, Seed: 1})
 //	res := partalloc.Simulate(a, seq, partalloc.SimOptions{})
 //	fmt.Printf("max load %d vs optimal %d (ratio %.2f)\n", res.MaxLoad, res.LStar, res.Ratio)
@@ -126,40 +131,6 @@ const (
 	// tight on fresh sets; see internal/core tests).
 	ArrivalOrder = core.ArrivalOrder
 )
-
-// NewGreedy returns the greedy algorithm A_G.
-//
-// Deprecated: use New(AlgoGreedy, m).
-func NewGreedy(m *Machine) Allocator { return core.NewGreedy(m) }
-
-// NewBasic returns the first-fit-over-copies algorithm A_B.
-//
-// Deprecated: use New(AlgoBasic, m).
-func NewBasic(m *Machine) Allocator { return core.NewBasic(m) }
-
-// NewConstant returns the constantly-reallocating algorithm A_C.
-//
-// Deprecated: use New(AlgoConstant, m).
-func NewConstant(m *Machine) Reallocator { return core.NewConstant(m) }
-
-// NewPeriodic returns the d-reallocation algorithm A_M. d < 0 encodes ∞.
-//
-// Deprecated: use New(AlgoPeriodic, m, WithD(d), WithOrder(order)).
-func NewPeriodic(m *Machine, d int, order ReallocOrder) Reallocator {
-	return core.NewPeriodic(m, d, order)
-}
-
-// NewLazy returns the lazy d-reallocation variant.
-//
-// Deprecated: use New(AlgoLazy, m, WithD(d), WithOrder(order)).
-func NewLazy(m *Machine, d int, order ReallocOrder) Reallocator {
-	return core.NewLazy(m, d, order)
-}
-
-// NewRandom returns the oblivious randomized algorithm A_Rand.
-//
-// Deprecated: use New(AlgoRandom, m, WithSeed(seed)).
-func NewRandom(m *Machine, seed int64) Allocator { return core.NewRandom(m, seed) }
 
 // NewTwoChoice returns the balanced-allocations baseline (Azar et al., the
 // paper's related work [2]): place each task on the less loaded of two

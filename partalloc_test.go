@@ -16,12 +16,12 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	lstar := seq.OptimalLoad(n)
 
 	algos := map[string]partalloc.Allocator{
-		"greedy":   partalloc.NewGreedy(m),
-		"basic":    partalloc.NewBasic(partalloc.MustNewMachine(n)),
-		"constant": partalloc.NewConstant(partalloc.MustNewMachine(n)),
-		"periodic": partalloc.NewPeriodic(partalloc.MustNewMachine(n), 2, partalloc.DecreasingSize),
-		"lazy":     partalloc.NewLazy(partalloc.MustNewMachine(n), 2, partalloc.DecreasingSize),
-		"random":   partalloc.NewRandom(partalloc.MustNewMachine(n), 7),
+		"greedy":   partalloc.MustNew(partalloc.AlgoGreedy, m),
+		"basic":    partalloc.MustNew(partalloc.AlgoBasic, partalloc.MustNewMachine(n)),
+		"constant": partalloc.MustNew(partalloc.AlgoConstant, partalloc.MustNewMachine(n)),
+		"periodic": partalloc.MustNew(partalloc.AlgoPeriodic, partalloc.MustNewMachine(n), partalloc.WithD(2)),
+		"lazy":     partalloc.MustNew(partalloc.AlgoLazy, partalloc.MustNewMachine(n), partalloc.WithD(2)),
+		"random":   partalloc.MustNew(partalloc.AlgoRandom, partalloc.MustNewMachine(n), partalloc.WithSeed(7)),
 	}
 	for name, a := range algos {
 		res := partalloc.Simulate(a, seq, partalloc.SimOptions{})
@@ -62,7 +62,7 @@ func TestPublicBounds(t *testing.T) {
 
 func TestPublicAdversary(t *testing.T) {
 	m := partalloc.MustNewMachine(256)
-	res := partalloc.RunAdversary(partalloc.NewGreedy(m), -1)
+	res := partalloc.RunAdversary(partalloc.MustNew(partalloc.AlgoGreedy, m), -1)
 	if res.OptimalLoad != 1 {
 		t.Fatalf("adversary L* = %d", res.OptimalLoad)
 	}
@@ -110,7 +110,7 @@ func TestPublicSequenceBuilder(t *testing.T) {
 func TestPublicExecute(t *testing.T) {
 	const n = 32
 	w := partalloc.RandomSchedWorkload(partalloc.SchedWorkloadConfig{N: n, Jobs: 100, Seed: 2})
-	res := partalloc.Execute(partalloc.NewConstant(partalloc.MustNewMachine(n)), w)
+	res := partalloc.Execute(partalloc.MustNew(partalloc.AlgoConstant, partalloc.MustNewMachine(n)), w)
 	if len(res.Jobs) != 100 {
 		t.Fatalf("finished %d jobs", len(res.Jobs))
 	}
@@ -139,12 +139,12 @@ func TestPublicSpaceShare(t *testing.T) {
 
 func TestPublicFigure1(t *testing.T) {
 	seq := partalloc.Figure1Sequence()
-	g := partalloc.NewGreedy(partalloc.MustNewMachine(4))
+	g := partalloc.MustNew(partalloc.AlgoGreedy, partalloc.MustNewMachine(4))
 	res := partalloc.Simulate(g, seq, partalloc.SimOptions{})
 	if res.MaxLoad != 2 {
 		t.Fatalf("greedy on σ*: %d", res.MaxLoad)
 	}
-	lz := partalloc.NewLazy(partalloc.MustNewMachine(4), 1, partalloc.DecreasingSize)
+	lz := partalloc.MustNew(partalloc.AlgoLazy, partalloc.MustNewMachine(4), partalloc.WithD(1))
 	res = partalloc.Simulate(lz, seq, partalloc.SimOptions{})
 	if res.MaxLoad != 1 {
 		t.Fatalf("lazy(1) on σ*: %d", res.MaxLoad)
