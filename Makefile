@@ -47,25 +47,28 @@ test-topology:
 test-chaos:
 	./scripts/chaos-smoke.sh
 
-# Snapshot & compaction suite under the race detector (docs/ENGINE.md,
-# "Snapshots & compaction"): snapshot recovery byte-identity, O(tail)
-# scan accounting, retention bounding the journal, idle tenants pinning
-# it, breaker probes rebuilt from snapshots, MoveTenant, the snapshot
-# SIGKILL crash test, and the facade-level three-way recovery
-# equivalence gate.
+# Snapshot & rebuild suite under the race detector (docs/ENGINE.md,
+# "Snapshots & compaction" and "The circuit breaker"): snapshot recovery
+# byte-identity, O(tail) scan accounting, retention bounding the
+# journal, idle tenants pinning it, every tenant rebuild path — breaker
+# probes from a spec and from a snapshot, recovery redoing a rebuild
+# from either base, a restored tenant restarting on rung 0 — MoveTenant,
+# the snapshot SIGKILL crash test, and the facade-level three-way
+# recovery equivalence gate.
 test-snapshot:
-	go test -race -run 'TestSnapshot|TestRecoveryReadsOnlyTail|TestBreakerProbeRestoresFromSnapshot|TestMoveTenant|TestSIGKILLSnapshotRecovery' -count=1 ./internal/engine/
+	go test -race -run 'TestSnapshot|TestRecoveryReadsOnlyTail|TestBreakerProbeRestoresFromSnapshot|TestBreakerRebuildsFromJournal|TestRecoverMatchesUninterrupted|TestRecoverRebuildFromSnapshotBase|TestBreakerProbeRestartsDegradeLadder|TestMoveTenant|TestSIGKILLSnapshotRecovery' -count=1 ./internal/engine/
 	go test -race -run 'TestSnapshotRecoveryEquivalence' -count=1 .
 
 # Placement suite under the race detector (docs/ENGINE.md, "Placement
 # and rebalancing"): HashPlacer byte-identity goldens, BalancedPlacer
-# plan determinism, the MoveTenant-through-placer regression, concurrent
+# plan determinism, the MoveTenant-through-placer regression, a
+# rebalance move keeping the tenant's degradation ladder, concurrent
 # Submit during rebalance passes, the SIGKILL mid-rebalance crash test
 # that gates recovery on routing-table consistency, and the skew gate
 # (balanced hot-shard peak strictly below hash on a zipf fleet, with
 # TypeMove replay restoring the routing table).
 test-placement:
-	go test -race -run 'TestHashPlacementGolden|TestBalancedPlacer|TestMoveTenantRoutesThroughPlacer|TestConcurrentSubmitDuringRebalance|TestSIGKILLRebalanceRecovery' -count=1 ./internal/engine/
+	go test -race -run 'TestHashPlacementGolden|TestBalancedPlacer|TestMoveTenantRoutesThroughPlacer|TestRebalanceMoveKeepsDegradeLadder|TestConcurrentSubmitDuringRebalance|TestSIGKILLRebalanceRecovery' -count=1 ./internal/engine/
 	go test -race -run 'TestBalancedPlacementLowersHotShardPeak' -count=1 .
 
 # Observability smoke (docs/OBSERVABILITY.md): boots `engined -listen`

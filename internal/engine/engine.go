@@ -431,13 +431,11 @@ type Engine struct {
 	smu     sync.Mutex
 	snapSeg map[string]int
 
-	// recStats is filled by Recover; resetOrd/recSnapOrd/recSnapData are
-	// its pass-1 scratch (the last snapshot/remove ordinal per tenant),
-	// cleared when recovery finishes.
-	recStats    RecoveryStats
-	resetOrd    map[string]int
-	recSnapOrd  map[string]int
-	recSnapData map[string][]byte
+	// recStats is filled by Recover; resetOrd is its pass-1 scratch (the
+	// last snapshot/remove ordinal per tenant), cleared when recovery
+	// finishes.
+	recStats RecoveryStats
+	resetOrd map[string]int
 
 	// now is the clock, in nanoseconds; a test hook.
 	now func() int64
@@ -630,7 +628,7 @@ func (e *Engine) addTenant(spec TenantSpec, hasSpec bool, a core.Allocator, faul
 
 // buildTenant constructs a tenant's state (everything except the
 // migration-observer wiring, which must capture the final pointer — see
-// wireObserver). Shared by registration and circuit-breaker rebuilds.
+// wireObserver). Shared by registration and restoreTenant.
 func (e *Engine) buildTenant(spec TenantSpec, hasSpec bool, a core.Allocator, faults *fault.Schedule, host *topology.Host) (*tenant, error) {
 	id := spec.ID
 	t := &tenant{
@@ -1041,7 +1039,7 @@ func (e *Engine) get(s *shard, id string) (*tenant, error) {
 			ErrTenantPoisoned, id, time.Duration(wait), t.err)
 	}
 	t.sink.BreakerProbe(id, int64(t.trips))
-	if err := e.probe(s, t); err != nil {
+	if err := e.probe(t); err != nil {
 		return nil, fmt.Errorf("%w: %q (half-open probe failed): %w", ErrTenantPoisoned, id, err)
 	}
 	return t, nil

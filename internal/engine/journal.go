@@ -18,11 +18,8 @@ import (
 	"errors"
 	"fmt"
 
-	"partalloc/internal/core"
 	"partalloc/internal/errs"
-	"partalloc/internal/fault"
 	"partalloc/internal/task"
-	"partalloc/internal/topology"
 	"partalloc/internal/wal"
 )
 
@@ -97,104 +94,95 @@ func (e *Engine) journalFlush(t *tenant) error {
 	return e.journalAppend(wal.Record{Type: wal.TypeFlush, Tenant: t.id})
 }
 
-// timeline reconstructs a tenant's *valid* event timeline from the
-// journal: the concatenation of its Submit/Apply record events, with
-// every TypeRebuild record applied as a truncation (a rebuild keeps the
-// first keep events and drops the rest, so previously dropped poisonous
-// suffixes never resurface). stopBefore ≥ 0 bounds the scan to records
-// strictly before that ordinal — the recovery path uses it to rebuild
-// "as of" a journaled rebuild record; -1 scans everything.
+// history scans the journal once for t's reconstruction inputs. The
+// base is where a rebuild starts: the tenant's latest snapshot that no
+// TypeRemove supersedes or, with none, its bare spec at event 0 (an
+// envelope without allocator bytes). The tail is every event after the
+// base: the snapshot's queued events, then each later Submit/Apply
+// record's events, with every TypeRebuild applied as a truncation — a
+// rebuild keeps a prefix of the full stream and drops the rest, so its
+// keep count translates by base.Events, and previously dropped poisonous
+// suffixes never resurface. Tail position p is stream event
+// base.Events+p. stopBefore ≥ 0 bounds the scan to records strictly
+// before that ordinal — recovery rebuilds "as of" a journaled rebuild
+// record; -1 scans everything.
 //
 // Reading the journal directory while other shards append is safe: a
 // frame is written with one write(2), so a concurrent reader sees only
 // whole frames plus possibly a torn tail, which Replay tolerates — and
 // every record of *this* tenant is already fully written, because its
 // shard lock (held by the caller) serializes them.
-func (e *Engine) timeline(id string, stopBefore int) ([]task.Event, error) {
-	var tl []task.Event
+func (e *Engine) history(t *tenant, stopBefore int) (*tenantSnapshot, []task.Event, error) {
+	spec := &tenantSnapshot{Spec: t.spec}
+	base, tail := spec, []task.Event(nil)
 	err := wal.Replay(e.cfg.Journal.Dir(), func(ord int, rec wal.Record) error {
 		if stopBefore >= 0 && ord >= stopBefore {
 			return wal.ErrStop
 		}
-		if rec.Tenant != id {
+		if rec.Tenant != t.id {
 			return nil
 		}
+		var evs []task.Event
+		var err error
 		switch rec.Type {
-		case wal.TypeSubmit:
-			evs, err := wal.DecodeEvents(rec.Data)
-			if err != nil {
-				return fmt.Errorf("engine: journal record %d: %w", ord, err)
+		case wal.TypeSnapshot:
+			if base, err = decodeSnapshot(rec.Data); err == nil {
+				tail, err = wal.DecodeEvents(base.Queue)
 			}
-			tl = append(tl, evs...)
-		case wal.TypeApply:
-			_, evs, err := wal.DecodeApply(rec.Data)
-			if err != nil {
-				return fmt.Errorf("engine: journal record %d: %w", ord, err)
-			}
-			tl = append(tl, evs...)
-		case wal.TypeRebuild:
-			keep, _, err := wal.DecodeRebuild(rec.Data)
-			if err != nil {
-				return fmt.Errorf("engine: journal record %d: %w", ord, err)
-			}
-			if keep > int64(len(tl)) {
-				return fmt.Errorf("engine: journal record %d: rebuild keeps %d of %d events", ord, keep, len(tl))
-			}
-			tl = tl[:keep]
 		case wal.TypeRemove:
 			// The tenant left this engine (MoveTenant); a tenant with the
-			// same ID registered later starts a fresh stream.
-			tl = nil
+			// same ID registered later starts a fresh stream, and snapshots
+			// from its previous life describe state this one never had.
+			base, tail = spec, nil
+		case wal.TypeSubmit:
+			evs, err = wal.DecodeEvents(rec.Data)
+			tail = append(tail, evs...)
+		case wal.TypeApply:
+			_, evs, err = wal.DecodeApply(rec.Data)
+			tail = append(tail, evs...)
+		case wal.TypeRebuild:
+			var keep int64
+			if keep, _, err = wal.DecodeRebuild(rec.Data); err == nil {
+				if rel := keep - base.Events; rel >= 0 && rel <= int64(len(tail)) {
+					tail = tail[:rel]
+				} else {
+					err = fmt.Errorf("rebuild keeps %d events but the base covers %d+%d", keep, base.Events, len(tail))
+				}
+			}
+		}
+		if err != nil {
+			return fmt.Errorf("engine: journal record %d: %w", ord, err)
 		}
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return tl, nil
+	return base, tail, nil
 }
 
 // probe is the circuit breaker's half-open transition: rebuild the
-// poisoned tenant from its journaled safe prefix — the t.events events
-// that were applied successfully — and drop the poisonous suffix. When
-// the tenant has a journaled snapshot, the rebuild restores it and
-// replays only the post-snapshot tail (probeFromSnapshot); otherwise
-// the whole safe prefix is replayed from the timeline. On success the
-// tenant is healthy again (t.err == nil); on failure the breaker
-// re-opens with a doubled backoff. Callers hold the shard lock.
-func (e *Engine) probe(s *shard, t *tenant) error {
-	snapOrd, env, ok, err := e.lastSnapshot(t.id)
+// poisoned tenant from its base plus the safe part of its tail — the
+// t.events events that were applied successfully — and drop the
+// poisonous suffix. When the base was a snapshot, a healing snapshot of
+// the rebuilt state follows the TypeRebuild record, so a crash after the
+// probe recovers the healed ledger directly. On success the tenant is
+// healthy again (t.err == nil); on failure the breaker re-opens with a
+// doubled backoff. Callers hold the shard lock.
+func (e *Engine) probe(t *tenant) error {
+	base, tail, err := e.history(t, -1)
 	if err != nil {
 		e.rearm(t)
 		return err
 	}
-	if ok {
-		return e.probeFromSnapshot(t, snapOrd, env)
-	}
-	tl, err := e.timeline(t.id, -1)
+	drop, err := e.rebuildTenant(t, base, tail, t.events, true)
 	if err != nil {
-		e.rearm(t)
 		return err
 	}
-	keep := t.events
-	if keep > int64(len(tl)) {
-		e.rearm(t)
-		return fmt.Errorf("engine: rebuild %q: journal holds %d events but %d were applied", t.id, len(tl), keep)
-	}
-	drop := int64(len(tl)) - keep
-	// Build the fresh allocator before journaling the rebuild: if the
-	// recipe fails, no record is written and recovery stays consistent.
-	a, faults, host, err := e.cfg.Rebuild(t.spec)
-	if err != nil {
-		e.rearm(t)
-		return err
-	}
-	if err := e.journalAppend(wal.Record{Type: wal.TypeRebuild, Tenant: t.id, Data: wal.AppendRebuild(nil, keep, drop)}); err != nil {
-		e.rearm(t)
-		return err
-	}
-	if err := e.rebuild(t, a, faults, host, tl[:keep], drop); err != nil {
-		return err
+	if base.Alloc != nil {
+		if err := e.snapshotTenant(t); err != nil {
+			return err
+		}
 	}
 	t.sink.BreakerHeal(t.id, drop)
 	return nil
@@ -207,26 +195,45 @@ func (e *Engine) rearm(t *tenant) {
 	t.deadline = e.now() + e.backoff(t)
 }
 
-// rebuild replaces the tenant's state with a fresh allocator and replays
-// prefix through it in batch-sized chunks (the same chunking an
-// uninterrupted ingestion of exactly these events would have used, so
-// rebuilt ledgers match recovery's). ShedEvents, DroppedEvents, and the
-// trip count survive; the degradation ladder and its ledger restart —
-// the fresh allocator is back at its configured rung. Callers hold the
-// shard lock.
-func (e *Engine) rebuild(t *tenant, a core.Allocator, faults *fault.Schedule, host *topology.Host, prefix []task.Event, drop int64) error {
-	nt, err := e.buildTenant(t.spec, true, a, faults, host)
+// rebuildTenant replaces t with its base plus the first keep-base.Events
+// events of its tail — the one reconstruction path the half-open probe
+// and recovery's TypeRebuild redo share. The restored tenant restarts on
+// rung 0 of its degradation ladder (restoreTenant) and keeps t's shed
+// count, trip count, and breaker deadline; the rest of the tail is
+// dropped and added to DroppedEvents. The kept events replay in
+// batch-sized chunks (replayChunks), the chunking an uninterrupted
+// ingestion of exactly these events would have used, so rebuilt ledgers
+// match recovery's. journal=true is the live probe: the TypeRebuild
+// record is appended once the fresh tenant is built and before it
+// replaces t, so a failing recipe leaves no record. A failure before the
+// replacement re-arms the breaker. Returns the dropped count. Callers
+// hold the shard lock.
+func (e *Engine) rebuildTenant(t *tenant, base *tenantSnapshot, tail []task.Event, keep int64, journal bool) (int64, error) {
+	need := keep - base.Events
+	if need < 0 || need > int64(len(tail)) {
+		e.rearm(t)
+		return 0, fmt.Errorf("engine: rebuild %q: %d events were applied but the journal holds %d+%d",
+			t.id, keep, base.Events, len(tail))
+	}
+	drop := int64(len(tail)) - need
+	nt, err := e.restoreTenant(base)
+	if err == nil && journal {
+		err = e.journalAppend(wal.Record{Type: wal.TypeRebuild, Tenant: t.id, Data: wal.AppendRebuild(nil, keep, drop)})
+	}
 	if err != nil {
 		e.rearm(t)
-		return err
+		return 0, err
 	}
+	// The base's queued events head the tail; applying them from the tail
+	// and leaving them queued would double them.
+	nt.queue = nil
 	nt.shed = t.shed
 	nt.dropped = t.dropped + drop
 	nt.trips = t.trips
 	nt.deadline = t.deadline
 	*t = *nt
 	wireObserver(t)
-	return e.replayChunks(t, prefix)
+	return drop, e.replayChunks(t, tail[:need])
 }
 
 // Recover reconstructs an engine from the journal in dir: the log is
@@ -257,21 +264,12 @@ func Recover(cfg Config, dir string, wopt wal.Options) (*Engine, error) {
 	cfg.Journal = log
 	e := New(cfg)
 	e.resetOrd = make(map[string]int)
-	e.recSnapOrd = make(map[string]int)
-	e.recSnapData = make(map[string][]byte)
 	// Pass 1: find each tenant's reset point — its last snapshot (restore
 	// from there) or removal (forget everything before).
 	if err := wal.Replay(dir, func(ord int, rec wal.Record) error {
 		e.recStats.RecordsScanned++
-		switch rec.Type {
-		case wal.TypeSnapshot:
+		if rec.Type == wal.TypeSnapshot || rec.Type == wal.TypeRemove {
 			e.resetOrd[rec.Tenant] = ord
-			e.recSnapOrd[rec.Tenant] = ord
-			e.recSnapData[rec.Tenant] = rec.Data
-		case wal.TypeRemove:
-			e.resetOrd[rec.Tenant] = ord
-			delete(e.recSnapOrd, rec.Tenant)
-			delete(e.recSnapData, rec.Tenant)
 		}
 		return nil
 	}); err != nil {
@@ -282,7 +280,7 @@ func Recover(cfg Config, dir string, wopt wal.Options) (*Engine, error) {
 		log.Close()
 		return nil, err
 	}
-	e.resetOrd, e.recSnapOrd, e.recSnapData = nil, nil, nil
+	e.resetOrd = nil
 	cfg.Sink.Recovery(e.recStats.SnapshotsRestored, e.recStats.RecordsReplayed, e.recStats.RecordsSkipped)
 	return e, nil
 }
@@ -398,10 +396,8 @@ func (e *Engine) redo(id string, ord int, fn func(*tenant) error) error {
 }
 
 // redoRebuild re-applies a journaled circuit-breaker rebuild: the
-// tenant's timeline as of this record (strictly earlier records only),
-// truncated to the kept prefix, replayed into a fresh allocator. When
-// the tenant has an earlier snapshot, the rebuild is re-derived from it
-// instead — the full timeline may start in segments compaction deleted.
+// tenant's base and tail as of this record (strictly earlier records
+// only) go through rebuildTenant exactly as the live probe's did.
 func (e *Engine) redoRebuild(id string, ord int, keep, drop int64) error {
 	s := e.shardFor(id)
 	s.mu.Lock()
@@ -410,25 +406,18 @@ func (e *Engine) redoRebuild(id string, ord int, keep, drop int64) error {
 	if !ok {
 		return fmt.Errorf("engine: recover record %d: %w: %q", ord, ErrUnknownTenant, id)
 	}
-	if data, ok := e.recSnapData[id]; ok && e.recSnapOrd[id] < ord {
-		//lint:ignore lockorder recovery is single-threaded and the rebuild must read the journal under the shard lock it mutates under, same as the live probe
-		return e.redoRebuildFromSnapshot(t, ord, keep, drop, e.recSnapOrd[id], data)
-	}
 	//lint:ignore lockorder recovery is single-threaded and the rebuild must read the journal under the shard lock it mutates under, same as the live probe
-	tl, err := e.timeline(id, ord)
+	base, tail, err := e.history(t, ord)
 	if err != nil {
 		return err
 	}
-	if keep > int64(len(tl)) || drop != int64(len(tl))-keep {
-		return fmt.Errorf("engine: recover record %d: rebuild keep=%d drop=%d against a %d-event timeline",
-			ord, keep, drop, len(tl))
+	if got := base.Events + int64(len(tail)) - keep; got != drop {
+		return fmt.Errorf("engine: recover record %d: rebuild keep=%d drop=%d against base %d + %d tail events",
+			ord, keep, drop, base.Events, len(tail))
 	}
-	a, faults, host, err := e.cfg.Rebuild(t.spec)
-	if err != nil {
-		return fmt.Errorf("engine: recover %q: %w", id, err)
-	}
-	if err := e.rebuild(t, a, faults, host, tl[:keep], drop); err != nil && !errors.Is(err, errs.ErrTenantPoisoned) {
-		return err
+	//lint:ignore lockorder journal=false: the redo appends nothing, and its replay must run under the shard lock it mutates under, same as the live probe
+	if _, err := e.rebuildTenant(t, base, tail, keep, false); err != nil && !errors.Is(err, errs.ErrTenantPoisoned) {
+		return fmt.Errorf("engine: recover record %d: %w", ord, err)
 	}
 	return nil
 }

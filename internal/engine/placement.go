@@ -26,7 +26,6 @@
 package engine
 
 import (
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"sort"
@@ -732,14 +731,8 @@ func (e *Engine) journalMove(id string, from, to int) error {
 
 // moveTenantLocal moves one tenant between stripes of this engine:
 // journal the TypeMove (the commit point — a crash before it recovers
-// the old route, after it the new one), ship the tenant through the
-// snapshot codec exactly as a cross-engine MoveTenant would, install it
-// on the destination stripe, and swap the route. Wall-clock ledger
-// fields the envelope deliberately omits (latency samples, the breaker
-// deadline, the snapshot cadence position) are carried over — a local
-// move is a relocation, not a rebuild.
-//
-// Skipped moves (tenant vanished, poisoned, or not snapshotable) return
+// the old route, after it the new one), then re-home the tenant
+// (rehome). Skipped moves (tenant vanished or poisoned) return
 // (false, nil). Callers hold rebalMu.
 func (e *Engine) moveTenantLocal(id string, from, to int) (bool, error) {
 	if from == to || from < 0 || to < 0 || from >= len(e.shards) || to >= len(e.shards) {
@@ -754,98 +747,64 @@ func (e *Engine) moveTenantLocal(id string, from, to int) (bool, error) {
 	e.shards[hi].mu.Lock()
 	defer e.shards[hi].mu.Unlock()
 
-	src, dst := e.shards[from], e.shards[to]
-	t, ok := src.tenants[id]
+	t, ok := e.shards[from].tenants[id]
 	if !ok || t.err != nil {
 		return false, nil
 	}
-	if _, dup := dst.tenants[id]; dup {
+	if _, dup := e.shards[to].tenants[id]; dup {
 		return false, fmt.Errorf("engine: move %q: already on shard %d", id, to)
 	}
 	//lint:ignore lockorder append-before-apply: the move record is the commit point and must land while both shard locks freeze the tenant (see Submit)
 	if err := e.journalMove(id, from, to); err != nil {
 		return false, err
 	}
-	if t.hasSpec && e.cfg.Rebuild != nil {
-		if _, ck := t.alloc.(core.Checkpointable); ck {
-			if err := e.reboxTenant(t); err != nil {
-				// The move record is already durable; recovery will redo
-				// the reroute, and the live engine must match it, so fall
-				// through to the re-home below rather than abandoning.
-				return false, err
-			}
-		}
-	}
-	delete(src.tenants, id)
-	t.shardIdx = to
-	dst.tenants[id] = t
-	e.placer.Reroute(id, to)
-	src.noteQueued()
-	dst.noteQueued()
+	e.rehome(t, from, to)
 	e.cfg.Sink.RebalanceMove(id, from, to)
 	return true, nil
 }
 
-// reboxTenant runs t through the snapshot codec in place: encode,
-// rebuild a fresh allocator from the spec, restore, and carry over the
-// wall-clock state the envelope drops. Callers hold the shard locks.
-func (e *Engine) reboxTenant(t *tenant) error {
-	data, err := e.encodeTenantSnapshot(t)
-	if err != nil {
-		return err
-	}
-	var env tenantSnapshot
-	if err := json.Unmarshal(data, &env); err != nil {
-		return err
-	}
-	a, faults, host, err := e.cfg.Rebuild(t.spec)
-	if err != nil {
-		return err
-	}
-	nt, err := e.restoreTenant(&env, a, faults, host)
-	if err != nil {
-		return err
-	}
-	nt.applyNs = t.applyNs
-	nt.batchNs = t.batchNs
-	nt.deadline = t.deadline
-	nt.lastSnapBatch = t.lastSnapBatch
-	nt.rebalMark = t.rebalMark
-	nt.rebalEst = t.rebalEst
-	*t = *nt
-	wireObserver(t)
-	return nil
+// rehome relocates t from stripe from to stripe to and rewrites its
+// route: the live move and recovery's redo of its TypeMove record both
+// end here. The same *tenant changes stripes — allocator, ledger,
+// degradation ladder, and breaker state untouched — so a move costs a
+// map delete and insert, never a codec round trip. Callers hold both
+// stripe locks.
+func (e *Engine) rehome(t *tenant, from, to int) {
+	src, dst := e.shards[from], e.shards[to]
+	delete(src.tenants, t.id)
+	t.shardIdx = to
+	dst.tenants[t.id] = t
+	e.placer.Reroute(t.id, to)
+	src.noteQueued()
+	dst.noteQueued()
 }
 
-// redoMove re-applies a journaled TypeMove during Recover: re-home the
-// tenant and rewrite the route. Recovery is single-threaded, so the
-// shard locks are uncontended formality.
+// redoMove re-applies a journaled TypeMove during Recover. Recovery is
+// single-threaded, so the shard locks are uncontended formality.
 func (e *Engine) redoMove(id string, ord, from, to int) error {
 	if to < 0 || to >= len(e.shards) {
 		return fmt.Errorf("engine: recover record %d: move %q to shard %d of %d", ord, id, to, len(e.shards))
 	}
-	cur := e.route(id)
-	if cur != from {
-		// The journal's from-shard disagrees with the replayed route —
-		// tolerated (the record's To is authoritative) but worth the
-		// stricter read: it means records before this one were skipped
-		// by a snapshot that already carried a newer route.
-		from = cur
+	// The journal's from-shard may disagree with the replayed route —
+	// tolerated (the record's To is authoritative) but worth the stricter
+	// read: it means records before this one were skipped by a snapshot
+	// that already carried a newer route.
+	from = e.route(id)
+	if from == to {
+		return nil
 	}
-	src := e.shardAt(from)
-	src.mu.Lock()
-	t, ok := src.tenants[id]
+	lo, hi := from, to
+	if lo > hi {
+		lo, hi = hi, lo
+	}
+	e.shards[lo].mu.Lock()
+	defer e.shards[lo].mu.Unlock()
+	e.shards[hi].mu.Lock()
+	defer e.shards[hi].mu.Unlock()
+	t, ok := e.shards[from].tenants[id]
 	if !ok {
-		src.mu.Unlock()
 		return fmt.Errorf("engine: recover record %d: %w: %q", ord, ErrUnknownTenant, id)
 	}
-	delete(src.tenants, id)
-	src.mu.Unlock()
-	dst := e.shardAt(to)
-	dst.mu.Lock()
-	t.shardIdx = to
-	dst.tenants[id] = t
-	dst.mu.Unlock()
-	e.placer.Reroute(id, to)
+	e.rehome(t, from, to)
 	return nil
 }

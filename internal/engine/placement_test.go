@@ -399,3 +399,60 @@ func TestConcurrentSubmitDuringRebalance(t *testing.T) {
 		t.Errorf("rebalance audit violations: %v", st.Violations)
 	}
 }
+
+// TestRebalanceMoveKeepsDegradeLadder moves a Degrade-policy tenant
+// between stripes while it sits on rung 2: a move relocates the tenant,
+// so its ladder position, live d, and transition history must survive,
+// and healthy batches afterwards must still walk it back to the
+// configured d.
+func TestRebalanceMoveKeepsDegradeLadder(t *testing.T) {
+	eng := New(Config{Shards: 2, BatchSize: 8, Overload: Degrade, DegradeBudget: time.Millisecond,
+		Placement: PlacementBalanced, RebalanceEvery: 1 << 30, Rebuild: testRebuild})
+	clk := &fakeClock{step: int64(2 * time.Millisecond)}
+	eng.now = clk.tick
+	addSpecTenant(t, eng, TenantSpec{ID: "t", Algorithm: "periodic", N: 64, D: 1, DSet: true})
+
+	next := 1
+	batch := func() {
+		t.Helper()
+		if err := eng.Submit("t", arrivals(next, 8, 1)...); err != nil {
+			t.Fatal(err)
+		}
+		next += 8
+	}
+	batch()
+	batch()
+	before, _ := eng.TenantStats("t")
+	if before.DegradeLevel != 2 || before.EffectiveD != 2 || len(before.Degrades) != 2 {
+		t.Fatalf("before the move: level=%d d=%d transitions=%d, want rung 2, d=2, 2 transitions",
+			before.DegradeLevel, before.EffectiveD, len(before.Degrades))
+	}
+
+	from := eng.route("t")
+	eng.rebalMu.Lock()
+	//lint:ignore lockorder the engine has no journal, so the move appends nothing while rebalMu is held
+	moved, err := eng.moveTenantLocal("t", from, 1-from)
+	eng.rebalMu.Unlock()
+	if err != nil || !moved {
+		t.Fatalf("moveTenantLocal = %v, %v; want a move", moved, err)
+	}
+	if got := eng.route("t"); got != 1-from {
+		t.Fatalf("route after the move = %d, want %d", got, 1-from)
+	}
+	after, _ := eng.TenantStats("t")
+	if after.DegradeLevel != before.DegradeLevel || after.EffectiveD != before.EffectiveD ||
+		!reflect.DeepEqual(after.Degrades, before.Degrades) {
+		t.Fatalf("move changed the Degrade state: level %d→%d, d %d→%d, transitions %d→%d",
+			before.DegradeLevel, after.DegradeLevel, before.EffectiveD, after.EffectiveD,
+			len(before.Degrades), len(after.Degrades))
+	}
+
+	clk.setStep(0)
+	for i := 0; i < 40; i++ {
+		batch()
+	}
+	st, _ := eng.TenantStats("t")
+	if st.DegradeLevel != 0 || st.EffectiveD != 1 {
+		t.Errorf("after healthy batches: level=%d d=%d, want the configured rung (d=1) restored", st.DegradeLevel, st.EffectiveD)
+	}
+}

@@ -567,3 +567,59 @@ func TestReplayCancelMidRunThenResume(t *testing.T) {
 		t.Errorf("resumed Events = %d, want %d", fin.Events, len(stream))
 	}
 }
+
+// TestBreakerProbeRestartsDegradeLadder poisons a Degrade-policy A_M(1)
+// tenant sitting on rung 2 (d doubled to 2) and lets the half-open probe
+// rebuild it, once from its spec (no snapshots) and once from a snapshot
+// taken at rung 2. Either way the rebuilt tenant must restart on rung 0
+// with the allocator's knob back at the configured d and trigger.
+func TestBreakerProbeRestartsDegradeLadder(t *testing.T) {
+	for _, every := range []int{0, 2} {
+		t.Run(fmt.Sprintf("SnapshotEvery=%d", every), func(t *testing.T) {
+			log, err := wal.Open(t.TempDir(), wal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer log.Close()
+			eng := New(Config{Shards: 1, BatchSize: 8, Overload: Degrade, DegradeBudget: time.Millisecond,
+				Journal: log, Rebuild: testRebuild, SnapshotEvery: every})
+			clk := &fakeClock{step: int64(2 * time.Millisecond)}
+			eng.now = clk.tick
+			addSpecTenant(t, eng, TenantSpec{ID: "t", Algorithm: "periodic", N: 64, D: 1, DSet: true})
+
+			// Two slow batches climb to rung 2.
+			if err := eng.Submit("t", arrivals(1, 16, 1)...); err != nil {
+				t.Fatal(err)
+			}
+			st, _ := eng.TenantStats("t")
+			if st.DegradeLevel != 2 || st.EffectiveD != 2 {
+				t.Fatalf("before poisoning: level=%d d=%d, want rung 2 (d=2)", st.DegradeLevel, st.EffectiveD)
+			}
+			if err := eng.Submit("t", task.Event{Kind: task.Arrive, Task: 5, Size: 1}); err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.Flush("t"); !errors.Is(err, ErrTenantPoisoned) {
+				t.Fatalf("poisoning flush: %v", err)
+			}
+
+			// Healthy clock, backoff elapsed: the next flush runs the probe.
+			clk.setStep(0)
+			clk.advance(time.Hour)
+			if err := eng.Flush("t"); err != nil {
+				t.Fatalf("flush after backoff (probe): %v", err)
+			}
+			st, _ = eng.TenantStats("t")
+			if st.BreakerState != "closed" || st.Events != 16 || st.DroppedEvents != 1 {
+				t.Fatalf("after probe: state=%s events=%d dropped=%d, want closed/16/1", st.BreakerState, st.Events, st.DroppedEvents)
+			}
+			s := eng.shardFor("t")
+			s.mu.Lock()
+			lazy := s.tenants["t"].alloc.(core.Degradable).LazyRealloc()
+			s.mu.Unlock()
+			if st.DegradeLevel != 0 || st.EffectiveD != 1 || lazy {
+				t.Errorf("after probe: level=%d d=%d lazy=%v, want rung 0 with the configured d=1, eager trigger",
+					st.DegradeLevel, st.EffectiveD, lazy)
+			}
+		})
+	}
+}

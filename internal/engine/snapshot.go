@@ -20,13 +20,13 @@
 //     the post-snapshot tail is re-applied. RecoveryStats counts the
 //     skipped/replayed split so tests can assert the O(tail) claim.
 //
-// The circuit breaker's half-open probe reuses the same machinery:
-// instead of replaying the tenant's full journaled safe prefix, it
-// restores the last (necessarily pre-poison — snapshots are only taken
-// at healthy moments) snapshot and replays the tail up to the safe
-// prefix. A successful probe appends a fresh "healing" snapshot right
-// after its TypeRebuild record, so a later recovery restores the healed
-// state directly instead of re-deriving it.
+// The circuit breaker's half-open probe and recovery's redo of its
+// TypeRebuild record rebuild a tenant the same way: restore its base —
+// the last snapshot or, with none, its spec — and replay the journaled
+// tail up to the safe prefix (journal.go, history and rebuildTenant).
+// When the base was a snapshot, a successful probe appends a fresh
+// "healing" snapshot right after its TypeRebuild record, so a later
+// recovery restores the healed state directly instead of re-deriving it.
 //
 // MoveTenant rounds the feature out: a snapshot is, operationally, a
 // tenant in a box, so rebalancing a tenant onto another engine is
@@ -35,15 +35,11 @@ package engine
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"sync"
 
 	"partalloc/internal/core"
-	"partalloc/internal/errs"
-	"partalloc/internal/fault"
 	"partalloc/internal/task"
-	"partalloc/internal/topology"
 	"partalloc/internal/wal"
 )
 
@@ -156,16 +152,37 @@ func (e *Engine) encodeTenantSnapshot(t *tenant) ([]byte, error) {
 	return data, nil
 }
 
-// restoreTenant builds a tenant from a snapshot envelope: fresh
-// allocator from the spec, allocator state restored from the snapshot
-// bytes, checker ledger restored when auditing, engine ledger installed.
-// The caller wires the migration observer (wireObserver) once the
+// decodeSnapshot parses a TypeSnapshot envelope. A snapshot always
+// carries allocator bytes; a base without them is a bare spec (history).
+func decodeSnapshot(data []byte) (*tenantSnapshot, error) {
+	env := new(tenantSnapshot)
+	if err := json.Unmarshal(data, env); err != nil {
+		return nil, fmt.Errorf("snapshot: %w", err)
+	}
+	if len(env.Alloc) == 0 {
+		return nil, fmt.Errorf("snapshot of %q holds no allocator state", env.Spec.ID)
+	}
+	return env, nil
+}
+
+// restoreTenant builds a tenant from a base envelope: a fresh allocator
+// from Config.Rebuild(spec), then — unless the base is a bare spec, which
+// is already the tenant at event 0 — the allocator state restored from
+// the snapshot bytes, the checker ledger when auditing, the queue, and
+// the engine ledger. A restored tenant starts on rung 0 of its fresh
+// degradation ladder, so the allocator's knob is put back on that rung:
+// the snapshot carries whatever d and trigger were live when it was
+// taken. The caller wires the migration observer (wireObserver) once the
 // returned struct has reached its final address.
-func (e *Engine) restoreTenant(env *tenantSnapshot, a core.Allocator, faults *fault.Schedule, host *topology.Host) (*tenant, error) {
+func (e *Engine) restoreTenant(env *tenantSnapshot) (*tenant, error) {
 	id := env.Spec.ID
-	t, err := e.buildTenant(env.Spec, true, a, faults, host)
+	a, faults, host, err := e.cfg.Rebuild(env.Spec)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("engine: restore %q: %w", id, err)
+	}
+	t, err := e.buildTenant(env.Spec, true, a, faults, host)
+	if err != nil || env.Alloc == nil {
+		return t, err
 	}
 	ck, ok := a.(core.Checkpointable)
 	if !ok {
@@ -173,6 +190,11 @@ func (e *Engine) restoreTenant(env *tenantSnapshot, a core.Allocator, faults *fa
 	}
 	if err := ck.Restore(env.Alloc); err != nil {
 		return nil, fmt.Errorf("engine: restore %q: allocator: %w", id, err)
+	}
+	if t.deg != nil {
+		r := t.deg.ladder[0]
+		t.deg.da.SetLazyRealloc(r.lazy)
+		t.deg.da.SetEffectiveD(r.d)
 	}
 	if t.check != nil {
 		if len(env.Checker) == 0 {
@@ -206,6 +228,17 @@ func (e *Engine) restoreTenant(env *tenantSnapshot, a core.Allocator, faults *fa
 	t.trips = env.Trips
 	t.lastSnapBatch = env.Batches
 	return t, nil
+}
+
+// loadSnapshot decodes a snapshot envelope and builds the tenant it
+// describes (restoreTenant); the caller routes and installs it.
+func (e *Engine) loadSnapshot(data []byte) (*tenantSnapshot, *tenant, error) {
+	env, err := decodeSnapshot(data)
+	if err != nil {
+		return nil, nil, err
+	}
+	t, err := e.restoreTenant(env)
+	return env, t, err
 }
 
 // maybeSnapshot checkpoints t when the Config.SnapshotEvery cadence is
@@ -276,95 +309,9 @@ func (e *Engine) compact() error {
 	return nil
 }
 
-// lastSnapshot scans the journal for id's latest snapshot record,
-// returning its ordinal and decoded envelope, or ok=false when the
-// tenant has none (or a TypeRemove supersedes them all). The caller
-// holds the tenant's shard lock, freezing its records (see timeline).
-func (e *Engine) lastSnapshot(id string) (ord int, env *tenantSnapshot, ok bool, err error) {
-	ord = -1
-	var data []byte
-	rerr := wal.Replay(e.cfg.Journal.Dir(), func(o int, rec wal.Record) error {
-		if rec.Tenant != id {
-			return nil
-		}
-		switch rec.Type {
-		case wal.TypeSnapshot:
-			ord, data = o, rec.Data
-		case wal.TypeRemove:
-			// The tenant was moved away and re-added; snapshots from its
-			// previous life describe state this stream never had.
-			ord, data = -1, nil
-		}
-		return nil
-	})
-	if rerr != nil {
-		return -1, nil, false, rerr
-	}
-	if ord < 0 {
-		return -1, nil, false, nil
-	}
-	env = new(tenantSnapshot)
-	if uerr := json.Unmarshal(data, env); uerr != nil {
-		return -1, nil, false, fmt.Errorf("engine: snapshot record for %q: %w", id, uerr)
-	}
-	return ord, env, true, nil
-}
-
-// snapTail reconstructs the tenant's valid event timeline *after* a
-// snapshot: the snapshot's queued events followed by every later
-// Submit/Apply record's events, with later TypeRebuild records applied
-// as truncations (their keep counts index the full stream, so they
-// translate by env.Events). stopBefore ≥ 0 bounds the scan as in
-// timeline; -1 scans everything. Position p of the returned slice is
-// stream event env.Events+p.
-func (e *Engine) snapTail(id string, snapOrd, stopBefore int, env *tenantSnapshot) ([]task.Event, error) {
-	tail, err := wal.DecodeEvents(env.Queue)
-	if err != nil {
-		return nil, fmt.Errorf("engine: snapshot queue for %q: %w", id, err)
-	}
-	err = wal.Replay(e.cfg.Journal.Dir(), func(ord int, rec wal.Record) error {
-		if stopBefore >= 0 && ord >= stopBefore {
-			return wal.ErrStop
-		}
-		if ord <= snapOrd || rec.Tenant != id {
-			return nil
-		}
-		switch rec.Type {
-		case wal.TypeSubmit:
-			evs, err := wal.DecodeEvents(rec.Data)
-			if err != nil {
-				return fmt.Errorf("engine: journal record %d: %w", ord, err)
-			}
-			tail = append(tail, evs...)
-		case wal.TypeApply:
-			_, evs, err := wal.DecodeApply(rec.Data)
-			if err != nil {
-				return fmt.Errorf("engine: journal record %d: %w", ord, err)
-			}
-			tail = append(tail, evs...)
-		case wal.TypeRebuild:
-			keep, _, err := wal.DecodeRebuild(rec.Data)
-			if err != nil {
-				return fmt.Errorf("engine: journal record %d: %w", ord, err)
-			}
-			rel := keep - env.Events
-			if rel < 0 || rel > int64(len(tail)) {
-				return fmt.Errorf("engine: journal record %d: rebuild keeps %d events but snapshot covers %d+%d",
-					ord, keep, env.Events, len(tail))
-			}
-			tail = tail[:rel]
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return tail, nil
-}
-
 // replayChunks applies evs through t in min(BatchSize, MaxQueue)-sized
-// chunks — the same chunking rebuild and redoRebuild use, so every path
-// that re-derives a tenant from events produces the same batch ledger.
+// chunks — the batch trigger ingest uses, so every path that re-derives
+// a tenant from events (rebuildTenant) produces the same batch ledger.
 func (e *Engine) replayChunks(t *tenant, evs []task.Event) error {
 	trigger := e.cfg.BatchSize
 	if e.cfg.MaxQueue > 0 && trigger > e.cfg.MaxQueue {
@@ -382,123 +329,16 @@ func (e *Engine) replayChunks(t *tenant, evs []task.Event) error {
 	return nil
 }
 
-// probeFromSnapshot is the snapshot-powered half of the breaker's
-// half-open probe: restore the tenant's last pre-poison snapshot and
-// replay only the tail up to the safe prefix (t.events), instead of
-// replaying the whole journaled prefix from scratch. On success a
-// healing snapshot of the recovered state is appended right after the
-// TypeRebuild record, so a crash after the probe recovers the healed
-// ledger directly. Callers hold the shard lock.
-func (e *Engine) probeFromSnapshot(t *tenant, snapOrd int, env *tenantSnapshot) error {
-	keep := t.events
-	if env.Events > keep {
-		e.rearm(t)
-		return fmt.Errorf("engine: rebuild %q: snapshot covers %d events but only %d were applied", t.id, env.Events, keep)
-	}
-	tail, err := e.snapTail(t.id, snapOrd, -1, env)
-	if err != nil {
-		e.rearm(t)
-		return err
-	}
-	need := keep - env.Events
-	if need > int64(len(tail)) {
-		e.rearm(t)
-		return fmt.Errorf("engine: rebuild %q: journal holds %d tail events but %d are needed", t.id, len(tail), need)
-	}
-	drop := int64(len(tail)) - need
-	a, faults, host, err := e.cfg.Rebuild(t.spec)
-	if err != nil {
-		e.rearm(t)
-		return err
-	}
-	nt, err := e.restoreTenant(env, a, faults, host)
-	if err != nil {
-		e.rearm(t)
-		return err
-	}
-	// The snapshot's queued events are tail[0:...]; applying them from the
-	// tail AND leaving them queued would double them.
-	nt.queue = nil
-	nt.shed = t.shed
-	nt.dropped = t.dropped + drop
-	nt.trips = t.trips
-	nt.deadline = t.deadline
-	if err := e.journalAppend(wal.Record{Type: wal.TypeRebuild, Tenant: t.id, Data: wal.AppendRebuild(nil, keep, drop)}); err != nil {
-		e.rearm(t)
-		return err
-	}
-	*t = *nt
-	wireObserver(t)
-	if err := e.replayChunks(t, tail[:need]); err != nil {
-		return err
-	}
-	// Healing snapshot: recovery restores this state directly, matching
-	// the probe's ledger (snapshot batches + tail chunks) byte for byte.
-	if err := e.snapshotTenant(t); err != nil {
-		return err
-	}
-	t.sink.BreakerHeal(t.id, drop)
-	return nil
-}
-
-// redoRebuildFromSnapshot re-applies a journaled TypeRebuild during
-// recovery when the tenant has an earlier snapshot: the legacy path
-// (timeline from the log's beginning) would read records compaction may
-// have deleted, so the rebuild is re-derived exactly as the live probe
-// derived it — restore the snapshot, replay the tail up to keep.
-func (e *Engine) redoRebuildFromSnapshot(t *tenant, ord int, keep, drop int64, snapOrd int, data []byte) error {
-	var env tenantSnapshot
-	if err := json.Unmarshal(data, &env); err != nil {
-		return fmt.Errorf("engine: recover record %d: snapshot: %w", ord, err)
-	}
-	tail, err := e.snapTail(t.id, snapOrd, ord, &env)
-	if err != nil {
-		return err
-	}
-	need := keep - env.Events
-	if need < 0 || need > int64(len(tail)) || drop != int64(len(tail))-need {
-		return fmt.Errorf("engine: recover record %d: rebuild keep=%d drop=%d against snapshot %d + %d tail events",
-			ord, keep, drop, env.Events, len(tail))
-	}
-	a, faults, host, err := e.cfg.Rebuild(t.spec)
-	if err != nil {
-		return fmt.Errorf("engine: recover %q: %w", t.id, err)
-	}
-	nt, err := e.restoreTenant(&env, a, faults, host)
-	if err != nil {
-		return fmt.Errorf("engine: recover record %d: %w", ord, err)
-	}
-	nt.queue = nil
-	nt.shed = t.shed
-	nt.dropped = t.dropped + drop
-	nt.trips = t.trips
-	nt.deadline = t.deadline
-	*t = *nt
-	wireObserver(t)
-	if err := e.replayChunks(t, tail[:need]); err != nil && !errors.Is(err, errs.ErrTenantPoisoned) {
-		return err
-	}
-	return nil
-}
-
 // restoreSnapshot installs a tenant from a TypeSnapshot record during
 // recovery. Earlier records of this tenant were skipped (including its
 // TypeAddTenant), so the envelope's spec is the registration.
 func (e *Engine) restoreSnapshot(ord int, rec wal.Record) error {
-	var env tenantSnapshot
-	if err := json.Unmarshal(rec.Data, &env); err != nil {
-		return fmt.Errorf("engine: recover record %d: snapshot: %w", ord, err)
+	env, t, err := e.loadSnapshot(rec.Data)
+	if err != nil {
+		return fmt.Errorf("engine: recover record %d: %w", ord, err)
 	}
 	if env.Spec.ID != rec.Tenant {
 		return fmt.Errorf("engine: recover record %d: snapshot spec ID %q does not match tenant %q", ord, env.Spec.ID, rec.Tenant)
-	}
-	a, faults, host, err := e.cfg.Rebuild(env.Spec)
-	if err != nil {
-		return fmt.Errorf("engine: recover %q: %w", rec.Tenant, err)
-	}
-	t, err := e.restoreTenant(&env, a, faults, host)
-	if err != nil {
-		return fmt.Errorf("engine: recover record %d: %w", ord, err)
 	}
 	// The envelope carries the tenant's route: compaction may have
 	// deleted the TypeMove records that produced it. Out-of-range routes
@@ -622,15 +462,11 @@ func (e *Engine) MoveTenant(id string, dst *Engine) error {
 // with the new route before journaling, so this journal recovers the
 // tenant onto the shard it actually landed on.
 func (e *Engine) installSnapshot(data []byte) error {
-	var env tenantSnapshot
-	if err := json.Unmarshal(data, &env); err != nil {
-		return fmt.Errorf("engine: install snapshot: %w", err)
+	env, t, err := e.loadSnapshot(data)
+	if err != nil {
+		return fmt.Errorf("engine: install: %w", err)
 	}
 	id := env.Spec.ID
-	a, faults, host, err := e.cfg.Rebuild(env.Spec)
-	if err != nil {
-		return fmt.Errorf("engine: install %q: %w", id, err)
-	}
 	e.rebalMu.Lock()
 	defer e.rebalMu.Unlock()
 	_, routed := e.placer.Lookup(id)
@@ -638,13 +474,6 @@ func (e *Engine) installSnapshot(data []byte) error {
 	env.Shard = idx
 	data, err = json.Marshal(env)
 	if err != nil {
-		return fmt.Errorf("engine: install %q: %w", id, err)
-	}
-	t, err := e.restoreTenant(&env, a, faults, host)
-	if err != nil {
-		if !routed {
-			e.placer.Remove(id)
-		}
 		return fmt.Errorf("engine: install %q: %w", id, err)
 	}
 	t.shardIdx = idx

@@ -428,3 +428,93 @@ func TestMoveTenant(t *testing.T) {
 		t.Errorf("MoveTenant(ghost) = %v, want ErrUnknownTenant", err)
 	}
 }
+
+// TestRecoverRebuildFromSnapshotBase crashes the
+// TestBreakerProbeRestoresFromSnapshot scenario between the probe's
+// TypeRebuild record and its healing snapshot: the journal is copied
+// without that snapshot, so recovery must redo the rebuild itself from
+// the tenant's earlier snapshot plus the journaled tail, and still match
+// the live ledger byte for byte.
+func TestRecoverRebuildFromSnapshotBase(t *testing.T) {
+	dir := t.TempDir()
+	log, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Shards: 1, BatchSize: 4, Journal: log, Rebuild: testRebuild, SnapshotEvery: 2}
+	eng := New(cfg)
+	clk := &fakeClock{step: 1}
+	eng.now = clk.tick
+	addSpecTenant(t, eng, TenantSpec{ID: "t", Algorithm: "greedy", N: 8})
+
+	if err := eng.Submit("t", arrivals(1, 8, 1)...); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Submit("t", arrivals(9, 2, 1)...); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Flush("t"); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Submit("t", task.Event{Kind: task.Arrive, Task: 5, Size: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Flush("t"); !errors.Is(err, ErrTenantPoisoned) {
+		t.Fatalf("poisoning flush: %v", err)
+	}
+	clk.advance(time.Hour)
+	if err := eng.Submit("t", arrivals(11, 4, 1)...); err != nil {
+		t.Fatalf("submit after backoff (probe): %v", err)
+	}
+	want := eng.Stats()
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Copy the journal minus the healing snapshot: the first TypeSnapshot
+	// after the TypeRebuild record.
+	crashDir := t.TempDir()
+	clog, err := wal.Open(crashDir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rebuilt, healed := false, false
+	if err := wal.Replay(dir, func(_ int, rec wal.Record) error {
+		switch {
+		case rec.Type == wal.TypeRebuild:
+			rebuilt = true
+		case rebuilt && !healed && rec.Type == wal.TypeSnapshot:
+			healed = true
+			return nil
+		}
+		return clog.Append(rec)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := clog.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !healed {
+		t.Fatal("live journal has no healing snapshot after its TypeRebuild record")
+	}
+
+	rec, err := Recover(Config{Shards: 1, BatchSize: 4, Rebuild: testRebuild, SnapshotEvery: 2}, crashDir, wal.Options{})
+	if err != nil {
+		t.Fatalf("Recover without the healing snapshot: %v", err)
+	}
+	defer rec.cfg.Journal.Close()
+	got := rec.Stats()
+	if len(got) != 1 {
+		t.Fatalf("recovered %d tenants, want 1", len(got))
+	}
+	if w, g := CanonicalStats(want[0]), CanonicalStats(got[0]); !bytes.Equal(w, g) {
+		t.Errorf("recovery through the rebuild redo diverges:\n  live: %s\n  rec:  %s", w, g)
+	}
+	// Journal: AddTenant, Submit(8), Snapshot, Submit(2), Flush, Submit(1),
+	// Flush, Rebuild, Submit(4). The snapshot covers the first two; the
+	// six records after it replay, the rebuild among them.
+	rs := rec.RecoveryStats()
+	if rs.RecordsScanned != 9 || rs.RecordsSkipped != 2 || rs.RecordsReplayed != 6 || rs.SnapshotsRestored != 1 {
+		t.Errorf("RecoveryStats = %+v, want scanned 9, skipped 2, replayed 6, restored 1", rs)
+	}
+}
