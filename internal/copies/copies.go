@@ -49,18 +49,32 @@ func NewCopy(m *tree.Machine) *Copy {
 		maxVacant: make([]int32, nn),
 		assigned:  make([]bool, nn),
 	}
-	// Depth-d nodes occupy heap indices [2^d, 2^(d+1)) and all have size
-	// N/2^d; filling per level avoids a Size call per node.
-	for d, size := 0, int32(m.N()); size >= 1; d, size = d+1, size/2 {
-		lo, hi := 1<<d, 1<<(d+1)
-		if hi > m.NumNodes()+1 {
-			hi = m.NumNodes() + 1
-		}
-		for v := lo; v < hi; v++ {
-			c.maxVacant[v] = size
+	c.fillVacant()
+	return c
+}
+
+// fillVacant sets maxVacant to the fully vacant copy's values. Depth-d
+// nodes occupy heap indices [2^d, 2^(d+1)) and all have size N/2^d, so
+// each level is one run, filled by doubling copies at memmove speed: a
+// reallocation resets every copy it reuses.
+func (c *Copy) fillVacant() {
+	for d, size := 0, int32(c.m.N()); size >= 1; d, size = d+1, size/2 {
+		level := c.maxVacant[1<<d : 1<<(d+1)]
+		level[0] = size
+		for k := 1; k < len(level); k *= 2 {
+			copy(level[k:], level[:k])
 		}
 	}
-	return c
+}
+
+// reset returns c to the fully vacant, unblocked state NewCopy builds,
+// keeping its slices.
+func (c *Copy) reset() {
+	clear(c.occupied)
+	clear(c.assigned)
+	clear(c.blocked)
+	c.fillVacant()
+	c.tasks = 0
 }
 
 // Machine returns the machine this copy mirrors.
@@ -415,11 +429,34 @@ func (l *List) Place(size int) (copyIdx int, v tree.Node) {
 		// A fresh copy always has vacancies unless every size-`size`
 		// submachine of T contains a failed PE: the machine can no longer
 		// host tasks of this size at all.
-		panic(fmt.Errorf("copies: no size-%d submachine avoids the %d failed PE(s): %w", size, len(l.blockedLeaves), errs.ErrMachineFull))
+		panic(l.errFull(size))
 	}
 	c.Occupy(u)
 	l.firstFit[d] = len(l.copies) - 1
 	return len(l.copies) - 1, u
+}
+
+// CheckHost panics as Place does for a size no copy can hold: when every
+// size-size submachine contains a blocked leaf. A caller about to rebuild
+// the list calls it first, so a rebuild bound to fail panics before it
+// changes any state.
+func (l *List) CheckHost(size int) {
+	// The size-size ancestor of leaf v is v/size, and blockedLeaves is
+	// sorted, so the blocked submachines are its distinct runs of v/size.
+	blocked, last := 0, tree.Node(0)
+	for _, leaf := range l.blockedLeaves {
+		if v := leaf / tree.Node(size); v != last {
+			blocked, last = blocked+1, v
+		}
+	}
+	if blocked == l.m.NumSubmachines(size) {
+		panic(l.errFull(size))
+	}
+}
+
+// errFull is the ErrMachineFull panic value of Place and CheckHost.
+func (l *List) errFull(size int) error {
+	return fmt.Errorf("copies: no size-%d submachine avoids the %d failed PE(s): %w", size, len(l.blockedLeaves), errs.ErrMachineFull)
 }
 
 // HasVacant reports whether some existing copy has a vacant submachine of
@@ -457,9 +494,19 @@ func (l *List) rewind(ci int) {
 	}
 }
 
-// newCopy builds a copy with every currently failed leaf pre-blocked.
+// newCopy builds a copy with every currently failed leaf pre-blocked. It
+// reuses, reset, the copy a Reset left in the slot past the list's end
+// when there is one.
 func (l *List) newCopy() *Copy {
-	c := NewCopy(l.m)
+	var c *Copy
+	if n := len(l.copies); n < cap(l.copies) {
+		c = l.copies[:n+1][n]
+	}
+	if c != nil {
+		c.reset()
+	} else {
+		c = NewCopy(l.m)
+	}
 	for _, leaf := range l.blockedLeaves {
 		c.Block(leaf)
 	}
@@ -525,9 +572,29 @@ func (l *List) Vacate(copyIdx int, v tree.Node) {
 }
 
 // Reset drops all copies (used when a reallocation rebuilds the layout).
+// The dropped copies stay in the slots past the list's end, and the copies
+// the list creates next reuse them, reset, instead of allocating; once
+// the rebuild is done, ReleaseSpare lets go of the ones left over.
 func (l *List) Reset() {
 	l.copies = l.copies[:0]
 	l.rewind(0)
+}
+
+// ReleaseSpare drops the copies a Reset left past the list's end, so a
+// list that shrank does not keep its high-water copy count alive.
+func (l *List) ReleaseSpare() {
+	clear(l.copies[len(l.copies):cap(l.copies)])
+}
+
+// MarkFull records that the first n copies have no vacancy, raising every
+// first-fit hint to at least n. A caller that packs copies directly with
+// OccupyAt (A_R's closed form, which fills every copy but the last) uses
+// it so later first-fit searches skip the full prefix. A list that has
+// never searched has no hints yet, and its first search starts at copy 0.
+func (l *List) MarkFull(n int) {
+	for d := range l.firstFit {
+		l.firstFit[d] = max(l.firstFit[d], n)
+	}
 }
 
 // PELoad returns the real load of PE p: the number of copies in which p is

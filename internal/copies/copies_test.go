@@ -1,9 +1,12 @@
 package copies
 
 import (
+	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"partalloc/internal/errs"
 	"partalloc/internal/tree"
 )
 
@@ -162,6 +165,135 @@ func TestListReset(t *testing.T) {
 	if ci != 0 {
 		t.Fatal("post-reset placement not in copy 0")
 	}
+}
+
+// TestResetReusesCopies checks that copies created after a Reset are the
+// dropped ones, reset to exactly what a fresh list would build — vacant,
+// with the currently failed leaves blocked — and that ReleaseSpare lets
+// go of the ones the rebuild did not need.
+func TestResetReusesCopies(t *testing.T) {
+	m := tree.MustNew(16)
+	rng := rand.New(rand.NewSource(3))
+	l := NewList(m)
+	l.Block(m.LeafOf(5))
+	for i := 0; i < 60; i++ {
+		l.Place(1 << rng.Intn(4))
+	}
+	old := append([]*Copy(nil), l.copies...)
+	l.Reset()
+	l.Unblock(m.LeafOf(5))
+	l.Block(m.LeafOf(12))
+
+	fresh := NewList(m)
+	fresh.Block(m.LeafOf(12))
+	for i := 0; i < 20; i++ {
+		size := 1 << rng.Intn(4)
+		gci, gv := l.Place(size)
+		wci, wv := fresh.Place(size)
+		if gci != wci || gv != wv {
+			t.Fatalf("placement %d (size %d) = (%d, %d), fresh list (%d, %d)", i, size, gci, gv, wci, wv)
+		}
+	}
+	if l.Len() >= len(old) {
+		t.Fatalf("rebuild used %d copies, want fewer than the %d dropped", l.Len(), len(old))
+	}
+	for i := 0; i < l.Len(); i++ {
+		if l.At(i) != old[i] {
+			t.Fatalf("copy %d was allocated afresh, not reused", i)
+		}
+		l.At(i).CheckInvariants()
+		if g, w := l.At(i).AssignedNodes(), fresh.At(i).AssignedNodes(); !slices.Equal(g, w) {
+			t.Fatalf("copy %d assigns %v, fresh list %v", i, g, w)
+		}
+		if !l.At(i).Blocked(m.LeafOf(12)) || l.At(i).Blocked(m.LeafOf(5)) {
+			t.Fatalf("copy %d blocks the wrong leaves", i)
+		}
+	}
+	l.ReleaseSpare()
+	for _, c := range l.copies[l.Len():cap(l.copies)] {
+		if c != nil {
+			t.Fatal("ReleaseSpare kept a spare copy")
+		}
+	}
+	l.Grow(1)
+	if c := l.At(l.Len() - 1); c == old[l.Len()-1] {
+		t.Fatal("a released copy came back")
+	}
+}
+
+// TestMarkFull checks that raising the first-fit hints past a full prefix
+// leaves first fit unchanged.
+func TestMarkFull(t *testing.T) {
+	m := tree.MustNew(8)
+	l, ref := NewList(m), NewList(m)
+	for _, size := range []int{8, 4, 4, 2} {
+		l.Place(size)
+		ref.Place(size)
+	}
+	l.Reset()
+	l.Grow(3)
+	ref.Reset()
+	ref.Grow(3)
+	for _, li := range []*List{l, ref} {
+		for _, v := range []tree.Node{1, 2, 3} {
+			li.OccupyAt(min(int(v)-1, 1), v)
+		}
+	}
+	l.MarkFull(2)
+	for _, size := range []int{1, 2, 4, 8} {
+		gci, gv := l.Place(size)
+		wci, wv := ref.Place(size)
+		if gci != wci || gv != wv {
+			t.Fatalf("Place(%d) after MarkFull = (%d, %d), without (%d, %d)", size, gci, gv, wci, wv)
+		}
+	}
+}
+
+// TestCheckHost checks CheckHost against Place on a fresh list: over
+// random sets of blocked leaves, it panics with ErrMachineFull exactly
+// for the sizes Place cannot host, and leaves the list untouched.
+func TestCheckHost(t *testing.T) {
+	m := tree.MustNew(16)
+	rng := rand.New(rand.NewSource(7))
+	panicErr := func(f func()) (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err, _ = r.(error)
+				if err == nil {
+					t.Fatalf("panic value %v is not an error", r)
+				}
+			}
+		}()
+		f()
+		return nil
+	}
+	for trial := 0; trial < 200; trial++ {
+		l := NewList(m)
+		for _, pe := range rng.Perm(m.N())[:rng.Intn(m.N())] {
+			l.Block(m.LeafOf(pe))
+		}
+		for size := 1; size <= m.N(); size *= 2 {
+			got := panicErr(func() { l.CheckHost(size) })
+			want := panicErr(func() { NewList(m).withBlocked(l.BlockedLeaves()).Place(size) })
+			if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
+				t.Fatalf("blocked %v, size %d: CheckHost panics %v, Place %v", l.BlockedLeaves(), size, got, want)
+			}
+			if got != nil && !errors.Is(got, errs.ErrMachineFull) {
+				t.Fatalf("CheckHost panic %v does not wrap ErrMachineFull", got)
+			}
+		}
+		if l.Len() != 0 {
+			t.Fatalf("CheckHost created %d copies", l.Len())
+		}
+	}
+}
+
+// withBlocked blocks leaves in l and returns it.
+func (l *List) withBlocked(leaves []tree.Node) *List {
+	for _, v := range leaves {
+		l.Block(v)
+	}
+	return l
 }
 
 // Randomized differential test: FindVacant always returns the leftmost

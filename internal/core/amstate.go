@@ -1,7 +1,6 @@
 package core
 
 import (
-	"partalloc/internal/loadtree"
 	"partalloc/internal/task"
 	"partalloc/internal/tree"
 )
@@ -57,36 +56,59 @@ func (a *amState) settle(t task.Task, fire bool) tree.Node {
 	if !fire {
 		return a.place(t.ID, t.Size)
 	}
+	// reallocate empties the layout before it places anything, so a
+	// doomed A_R must fail first. Every active task already sits on a
+	// healthy submachine of its size, so only the arrival can be
+	// unplaceable.
+	a.list.CheckHost(t.Size)
 	a.placed[t.ID] = placementRec{copyIdx: -1, node: 0, size: t.Size}
 	a.reallocate()
 	a.sinceRealo = 0
 	return a.placed[t.ID].node
 }
 
-// reallocate runs procedure A_R over the active set, updating migration
-// statistics (a task "migrates" when its submachine root changes; moving
-// between copies at the same node keeps the same PEs and is free).
+// reallocate runs procedure A_R over the active set in place: the copy
+// list and the load tree are emptied and refilled in their own memory,
+// and only the ordered ID slice and the placement map are new. Tasks
+// are placed, counted and reported to the observer in A_R's order. A
+// task "migrates" when its submachine root changes; moving between
+// copies at the same node keeps the same PEs and is free.
+//
+// DecreasingSize without failed PEs takes Lemma 1's closed form: first
+// fit of power-of-two sizes in decreasing order is prefix-sum packing, so
+// with off the total size placed before a task, it lands in copy off/N
+// at the (off mod N)/size-th submachine of its size, and every copy but
+// the last ends full. ArrivalOrder and layouts with blocked PEs first-fit
+// through List.Place, as ReallocateAll does.
 func (a *amState) reallocate() {
-	tasks := make([]task.Task, 0, len(a.placed))
-	//lint:ignore detorder ReallocateAll re-sorts tasks with a total order (size, then ID), so collection order cannot matter
-	for id, rec := range a.placed {
-		tasks = append(tasks, task.Task{ID: id, Size: rec.size})
-	}
-	list, placed := ReallocateAll(a.m, tasks, a.order, a.faults.failed)
-	a.stats.Reallocations++
-	newLoads := loadtree.New(a.m)
-	// Build the replacement tree with deferred aggregates when that is
-	// cheaper (one O(N) rebuild vs len(placed) eager O(log²N) updates), and
-	// always when the old tree is mid-batch: the replacement must inherit
-	// deferred mode so ApplyBatch's EndDeferred lands on the current tree.
-	lv := a.m.Levels() + 1
-	if a.loads.Deferred() || len(placed)*lv*lv >= 4*a.m.NumNodes() {
-		newLoads.BeginDeferred()
-	}
-	for id, rec := range placed {
+	ids := reallocOrder(a.m, a.placed, a.order)
+	packed := a.order == DecreasingSize && len(a.faults.failed) == 0
+	a.list.Reset()
+	// Refill the load tree with deferred aggregates, one O(N log N) flush
+	// at the end; mid-batch, the batch's EndDeferred does that flush.
+	midBatch := a.loads.Deferred()
+	a.loads.BeginDeferred()
+	a.loads.Reset()
+	placed := make(map[task.ID]placementRec, len(ids))
+	n, off := a.m.N(), 0
+	for _, id := range ids {
 		old := a.placed[id]
-		// old.node == 0 marks the arrival that triggered this reallocation;
-		// it had no previous placement, so it cannot "migrate".
+		rec := placementRec{size: old.size}
+		if packed {
+			rec.copyIdx, rec.node = off/n, a.m.SubmachineAt(rec.size, off%n/rec.size)
+			if rec.copyIdx == a.list.Len() {
+				a.list.Grow(1)
+			}
+			a.list.OccupyAt(rec.copyIdx, rec.node)
+			off += rec.size
+		} else {
+			rec.copyIdx, rec.node = a.list.Place(rec.size)
+		}
+		placed[id] = rec
+		a.loads.Place(rec.node)
+		// A zero old node marks the arrival that triggered this
+		// reallocation; it had no previous placement, so it cannot
+		// "migrate".
 		if old.node != 0 && old.node != rec.node {
 			a.stats.Migrations++
 			a.stats.MovedPEs += int64(rec.size)
@@ -94,14 +116,16 @@ func (a *amState) reallocate() {
 				a.observer(id, old.node, rec.node)
 			}
 		}
-		newLoads.Place(rec.node)
 	}
-	if newLoads.Deferred() && !a.loads.Deferred() {
-		newLoads.EndDeferred()
+	if packed {
+		a.list.MarkFull(a.list.Len() - 1)
 	}
-	a.list = list
+	a.list.ReleaseSpare()
+	if !midBatch {
+		a.loads.EndDeferred()
+	}
+	a.stats.Reallocations++
 	a.placed = placed
-	a.loads = newLoads
 }
 
 // depart implements Depart for self.

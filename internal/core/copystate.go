@@ -133,9 +133,9 @@ func (c *copyState) ForcedStats() ForcedStats { return c.faults.ForcedStats() }
 
 // applyDeferred applies evs through self with the load tree in deferred
 // mode. First-fit placement never reads the load tree, so deferring its
-// aggregates cannot change a decision. A reallocation mid-batch swaps in
-// a tree that inherits deferred mode (see amState.reallocate), so the
-// closing EndDeferred lands on whichever tree is current.
+// aggregates cannot change a decision. A reallocation mid-batch refills
+// the same tree and leaves it deferred (see amState.reallocate), so the
+// closing EndDeferred flushes the reallocated layout too.
 func (c *copyState) applyDeferred(self Allocator, evs []task.Event) {
 	c.loads.BeginDeferred()
 	ApplyEvents(self, evs)

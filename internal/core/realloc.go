@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+	"slices"
 	"sort"
 
 	"partalloc/internal/copies"
@@ -35,7 +37,9 @@ func (o ReallocOrder) String() string {
 // active task set, sort it (per order), and first-fit each task into the
 // first copy of T with a vacant submachine of its size, creating copies as
 // needed; within a copy, take the leftmost vacant submachine. It returns
-// the fresh copy list and the new placements.
+// the fresh copy list and the new placements. The allocators run the same
+// procedure in place (amState.reallocate); this fresh-list form is its
+// reference.
 //
 // The fresh list blocks every PE in failedPEs before placement, so no
 // task in the rebuilt layout covers a failed PE; it panics if some task
@@ -60,6 +64,44 @@ func ReallocateAll(m *tree.Machine, tasks []task.Task, order ReallocOrder, faile
 		placed[t.ID] = placementRec{copyIdx: ci, node: v, size: t.Size}
 	}
 	return list, placed
+}
+
+// reallocOrder returns the active task IDs as a fresh slice in A_R's
+// order: size descending with ties by ascending ID for DecreasingSize,
+// ascending ID for ArrivalOrder. Sizes are powers of two, so
+// DecreasingSize needs no comparison across sizes: a counting pass over
+// the log N + 1 size classes gives each class its range of the slice, and
+// only each class is sorted.
+func reallocOrder(m *tree.Machine, placed map[task.ID]placementRec, order ReallocOrder) []task.ID {
+	ids := make([]task.ID, len(placed))
+	if order == ArrivalOrder {
+		i := 0
+		for id := range placed {
+			ids[i] = id
+			i++
+		}
+		slices.Sort(ids)
+		return ids
+	}
+	// Class c holds the tasks of size N/2^c; start[c] is its first index.
+	lv := m.Levels()
+	var start [64]int
+	for _, rec := range placed {
+		start[lv-bits.TrailingZeros(uint(rec.size))+1]++
+	}
+	for c := 1; c <= lv+1; c++ {
+		start[c] += start[c-1]
+	}
+	next := start
+	for id, rec := range placed {
+		c := lv - bits.TrailingZeros(uint(rec.size))
+		ids[next[c]] = id
+		next[c]++
+	}
+	for c := 0; c <= lv; c++ {
+		slices.Sort(ids[start[c]:start[c+1]])
+	}
+	return ids
 }
 
 // sortDecreasing puts tasks in A_R's first-fit-decreasing order: size

@@ -238,6 +238,51 @@ func TestPoisoningSurfacesSentinels(t *testing.T) {
 	}
 }
 
+// TestPoisonedReallocationKeepsLastState poisons an A_M tenant with an
+// arrival that triggers a reallocation nothing can place (size N with a
+// PE down) and checks that the tenant still reports the layout it had
+// before that arrival: A_R must fail before it empties the copy list and
+// the load tree.
+func TestPoisonedReallocationKeepsLastState(t *testing.T) {
+	eng := New(Config{BatchSize: 4})
+	sched := &fault.Schedule{Events: []fault.Event{{At: 0, Kind: fault.FailPE, PE: 0}}}
+	if err := eng.AddTenant("am", core.NewPeriodic(tree.MustNew(8), 1, core.DecreasingSize), WithTenantFaults(sched)); err != nil {
+		t.Fatal(err)
+	}
+	// Four arrivals of 8 units: the last one reallocates around PE 0.
+	if err := eng.Replay(context.Background(), map[string][]task.Event{"am": {
+		{Kind: task.Arrive, Task: 1, Size: 4},
+		{Kind: task.Arrive, Task: 2, Size: 2},
+		{Kind: task.Arrive, Task: 3, Size: 1},
+		{Kind: task.Arrive, Task: 4, Size: 1},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	before, err := eng.TenantStats("am")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if before.MaxLoad != 2 || before.Active != 4 {
+		t.Fatalf("before the doomed arrival: MaxLoad %d Active %d, want 2 and 4", before.MaxLoad, before.Active)
+	}
+
+	err = eng.Submit("am", task.Event{Kind: task.Arrive, Task: 5, Size: 8})
+	if err == nil {
+		err = eng.Flush("am")
+	}
+	if !errors.Is(err, ErrTenantPoisoned) || !errors.Is(err, errs.ErrMachineFull) {
+		t.Fatalf("size-N arrival with a PE down: %v, want ErrTenantPoisoned wrapping ErrMachineFull", err)
+	}
+	after, err := eng.TenantStats("am")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.MaxLoad != before.MaxLoad || after.Active != before.Active {
+		t.Errorf("poisoned tenant reports MaxLoad %d Active %d, want its last state %d and %d",
+			after.MaxLoad, after.Active, before.MaxLoad, before.Active)
+	}
+}
+
 // TestDuplicateArrivalPoisons checks the misuse path: a duplicate task ID
 // panic becomes ErrDuplicateTask on the error chain.
 func TestDuplicateArrivalPoisons(t *testing.T) {

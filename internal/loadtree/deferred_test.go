@@ -91,3 +91,44 @@ func TestDeferredCoverQueriesSkipFlush(t *testing.T) {
 		t.Errorf("MaxLoad = %d, want 2", got)
 	}
 }
+
+// TestResetMatchesNew checks that a Reset tree, eager or deferred, answers
+// like a fresh one and, refilled, like a fresh one given the same tasks.
+func TestResetMatchesNew(t *testing.T) {
+	m := tree.MustNew(32)
+	rng := rand.New(rand.NewSource(9))
+	randomNode := func() tree.Node {
+		size := 1 << rng.Intn(m.Levels()+1)
+		return m.SubmachineAt(size, rng.Intn(m.NumSubmachines(size)))
+	}
+	for _, deferred := range []bool{false, true} {
+		lt := New(m)
+		for i := 0; i < 40; i++ {
+			lt.Place(randomNode())
+		}
+		if deferred {
+			lt.BeginDeferred()
+		}
+		lt.Reset()
+		if lt.Active() != 0 || lt.MaxLoad() != 0 || lt.CumulativeSize() != 0 {
+			t.Fatalf("deferred=%v: Reset left Active %d, MaxLoad %d, CumulativeSize %d",
+				deferred, lt.Active(), lt.MaxLoad(), lt.CumulativeSize())
+		}
+		lt.CheckInvariants()
+		fresh := New(m)
+		for i := 0; i < 40; i++ {
+			v := randomNode()
+			lt.Place(v)
+			fresh.Place(v)
+		}
+		lt.EndDeferred()
+		lt.CheckInvariants()
+		for size := 1; size <= m.N(); size *= 2 {
+			gv, gl := lt.LeftmostMinLoad(size)
+			wv, wl := fresh.LeftmostMinLoad(size)
+			if gv != wv || gl != wl || lt.MaxLoad() != fresh.MaxLoad() {
+				t.Fatalf("deferred=%v size %d: refilled tree answers (%d, %d), fresh (%d, %d)", deferred, size, gv, gl, wv, wl)
+			}
+		}
+	}
+}

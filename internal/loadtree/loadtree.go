@@ -59,9 +59,8 @@ func New(m *tree.Machine) *Tree {
 		minBelow: make([]int32, nn),
 		bestAt:   make([][]int32, nn),
 	}
-	// Carve every bestAt row out of one flat backing array: Tree
-	// construction is on A_C/A_M's reallocation path, so per-node
-	// allocations would dominate their profile.
+	// Carve every bestAt row out of one flat backing array: one
+	// allocation per tree instead of one per node.
 	total := 0
 	for v := 1; v <= m.NumNodes(); v++ {
 		total += t.levels - mathxLog2Floor(v) + 1
@@ -138,6 +137,18 @@ func (t *Tree) add(v tree.Node, delta int32) {
 		t.maxBelow[u] = mb
 		t.minBelow[u] = nb
 		t.refreshBestAt(tree.Node(u))
+	}
+}
+
+// Reset removes every task, leaving the all-idle tree New builds without
+// allocating. In deferred mode the aggregates are rebuilt by the next
+// flush, as after any deferred update; otherwise at once.
+func (t *Tree) Reset() {
+	clear(t.cover)
+	t.active = 0
+	t.dirty = true
+	if !t.deferred {
+		t.flush()
 	}
 }
 
