@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test test-short test-race test-core test-fault test-topology test-chaos test-snapshot test-placement obs-smoke lint lint-json bench experiments experiments-quick cover golden clean
+.PHONY: all build test test-short test-race test-core test-fault test-topology test-chaos test-snapshot test-placement test-stripes obs-smoke lint lint-json bench experiments experiments-quick cover golden clean
 
 all: build lint test
 
@@ -70,6 +70,16 @@ test-snapshot:
 test-placement:
 	go test -race -run 'TestHashPlacementGolden|TestBalancedPlacer|TestMoveTenantRoutesThroughPlacer|TestRebalanceMoveKeepsDegradeLadder|TestConcurrentSubmitDuringRebalance|TestSIGKILLRebalanceRecovery' -count=1 ./internal/engine/
 	go test -race -run 'TestBalancedPlacementLowersHotShardPeak' -count=1 .
+
+# Lock-stripe suite under the race detector, ten runs each (docs/ENGINE.md,
+# "Sharding"): the default stripe count is CeilPow2(16·GOMAXPROCS),
+# capped at 256, on the engine and the facade; a batch blocked under one
+# stripe's lock does not hold up a Submit on another stripe, while a
+# Submit on its own stripe waits and lands in the lock-wait histogram;
+# and recovery keeps the stripes a journal's snapshots recorded.
+test-stripes:
+	go test -race -count=10 -run 'TestStripeIsolation|TestRecoverKeepsSnapshottedStripes' ./internal/engine/
+	go test -race -count=10 -run 'TestDefaultShardsScaleWithGOMAXPROCS' .
 
 # Observability smoke (docs/OBSERVABILITY.md): boots `engined -listen`
 # on a random port, scrapes /metrics, asserts the required series exist

@@ -176,7 +176,8 @@ func (o *engineOptions) fail(err error) {
 type EngineOption func(*engineOptions)
 
 // WithShards sets the number of lock stripes tenants are hash-partitioned
-// across (default min(GOMAXPROCS, 8); at least 1).
+// across (at least 1). The default is CeilPow2(16·GOMAXPROCS) capped at
+// 256, 32 on two cores, so concurrent submitters rarely share a stripe.
 func WithShards(n int) EngineOption {
 	return func(o *engineOptions) {
 		if n < 1 {
@@ -336,7 +337,10 @@ func WithJournalSync(p JournalSyncPolicy) EngineOption {
 // WithPlacement selects the tenant→shard routing policy (default
 // PlacementHash). PlacementBalanced requires a power-of-two shard
 // count: combine with WithShards(2^k), or omit WithShards and the
-// engine rounds its default down to a power of two.
+// engine rounds its default down to a power of two. Its virtual
+// machine has one PE per shard and a pass may move RebalanceD·shards
+// tenants, so without WithShards both follow the default stripe count
+// (32 on two cores, up to 256).
 func WithPlacement(p PlacementPolicy) EngineOption {
 	return func(o *engineOptions) {
 		switch p {
@@ -506,10 +510,11 @@ func collect(caller string, opts []EngineOption) (*engineOptions, error) {
 }
 
 // NewEngine builds an engine from options alone; the zero-option call
-// selects the defaults (min(GOMAXPROCS, 8) shards, 256-event batches, no
-// audit, no queue bound, no journal, no observability). Construction
-// fails with ErrBadOption on the chain when an option is invalid, and
-// with the journal's error when WithJournal cannot open its directory.
+// selects the defaults (CeilPow2(16·GOMAXPROCS) shards up to 256,
+// 256-event batches, no audit, no queue bound, no journal, no
+// observability). Construction fails with ErrBadOption on the chain
+// when an option is invalid, and with the journal's error when
+// WithJournal cannot open its directory.
 func NewEngine(opts ...EngineOption) (*Engine, error) {
 	o, err := collect("NewEngine", opts)
 	if err != nil {

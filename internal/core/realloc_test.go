@@ -262,11 +262,11 @@ func TestMigrationObserverOrder(t *testing.T) {
 // constructors allocate nothing for that reuse.
 func TestReallocAllocs(t *testing.T) {
 	m := tree.MustNew(256)
-	if got := testing.AllocsPerRun(50, func() { NewPeriodic(m, 1, DecreasingSize) }); got != 9 {
-		t.Errorf("NewPeriodic allocates %v times, want 9", got)
+	if got := testing.AllocsPerRun(50, func() { NewPeriodic(m, 1, DecreasingSize) }); got != 8 {
+		t.Errorf("NewPeriodic allocates %v times, want 8", got)
 	}
-	if got := testing.AllocsPerRun(50, func() { NewLazy(m, 1, DecreasingSize) }); got != 8 {
-		t.Errorf("NewLazy allocates %v times, want 8", got)
+	if got := testing.AllocsPerRun(50, func() { NewLazy(m, 1, DecreasingSize) }); got != 7 {
+		t.Errorf("NewLazy allocates %v times, want 7", got)
 	}
 
 	evs := workload.Saturation(workload.SaturationConfig{N: 256, Target: 8, Churn: 0.25, Events: 8192, Seed: 1}).Events

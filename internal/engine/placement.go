@@ -484,12 +484,19 @@ func (e *Engine) shardFor(id string) *shard {
 // lockTenantShard locks the shard currently routing id, re-verifying
 // the route after acquisition: moveTenantLocal rewrites the route while
 // holding both shard locks, so a route that still matches under the
-// lock cannot be mid-move.
+// lock cannot be mid-move. An uncontended acquisition is one TryLock;
+// only a contended one reads the clock (and only with a Sink wired) to
+// record its wait in partalloc_shard_lock_wait_seconds.
 func (e *Engine) lockTenantShard(id string) *shard {
 	for {
 		idx := e.route(id)
 		s := e.shardAt(idx)
-		s.mu.Lock()
+		if !s.mu.TryLock() {
+			sink := e.cfg.Sink
+			t0 := sink.Now()
+			s.mu.Lock()
+			sink.ShardLockWait(sink.Now() - t0)
+		}
 		if e.route(id) == idx {
 			//lint:ignore lockorder lockTenantShard transfers s.mu to the caller by contract; every caller unlocks it
 			return s

@@ -327,10 +327,25 @@ func TestSIGKILLRebalanceRecovery(t *testing.T) {
 // while every tenant's stream is being submitted from its own
 // goroutine. Run under -race this is the placement layer's memory-model
 // gate; the assertions close the loop on conservation (no event lost or
-// duplicated by a mid-ingest move) and routing consistency.
+// duplicated by a mid-ingest move) and routing consistency. It runs on
+// 4 stripes and on the default count, whose virtual A_M machine and
+// per-pass move budget grow with the cores.
 func TestConcurrentSubmitDuringRebalance(t *testing.T) {
-	eng := New(Config{Shards: 4, BatchSize: 16, MaxQueue: 256, Overload: Block,
+	for _, shards := range []int{4, 0} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			testConcurrentSubmitDuringRebalance(t, shards)
+		})
+	}
+}
+
+func testConcurrentSubmitDuringRebalance(t *testing.T, shards int) {
+	eng := New(Config{Shards: shards, BatchSize: 16, MaxQueue: 256, Overload: Block,
 		Placement: PlacementBalanced, RebalanceD: 2, RebalanceEvery: 2, Rebuild: testRebuild})
+	if shards == 0 {
+		if got, want := len(eng.shards), New(Config{}).cfg.Shards; got != want {
+			t.Fatalf("balanced engine has %d stripes, want the default %d", got, want)
+		}
+	}
 	const tenants = 8
 	streams := make([][]task.Event, tenants)
 	for i := 0; i < tenants; i++ {

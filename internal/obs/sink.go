@@ -28,6 +28,7 @@ const (
 	MetricTenantBreakerProbes = "partalloc_tenant_breaker_probes_total"
 	MetricTenantApplyLatency  = "partalloc_tenant_apply_latency_seconds"
 	MetricShardApplyLatency   = "partalloc_shard_apply_latency_seconds"
+	MetricShardLockWait       = "partalloc_shard_lock_wait_seconds"
 	MetricForcedMigrations    = "partalloc_tenant_forced_migrations_total"
 
 	MetricWALAppendLatency = "partalloc_wal_append_latency_seconds"
@@ -81,6 +82,10 @@ type Sink struct {
 	m  *Metrics
 	fr *FlightRecorder
 
+	// lockWait is the engine-wide shard-lock wait histogram, registered
+	// by NewSink so it is scrapeable before the first contended lock.
+	lockWait *Histogram
+
 	mu     sync.RWMutex
 	tens   map[string]*tenantSeries
 	shards map[int]*Histogram
@@ -94,12 +99,16 @@ func NewSink(m *Metrics, fr *FlightRecorder) *Sink {
 	if m == nil && fr == nil {
 		return nil
 	}
-	return &Sink{
+	s := &Sink{
 		m:      m,
 		fr:     fr,
 		tens:   make(map[string]*tenantSeries),
 		shards: make(map[int]*Histogram),
 	}
+	if m != nil {
+		s.lockWait = m.Histogram(MetricShardLockWait, "Wait for a contended shard lock (uncontended acquisitions are not observed).")
+	}
+	return s
 }
 
 // Metrics returns the underlying registry (nil if none).
@@ -238,6 +247,15 @@ func (s *Sink) BatchApplied(tenant string, shard, events int, ns, maxLoad, peakL
 		"lstar":    lstar,
 		"queue":    int64(queue),
 	})
+}
+
+// ShardLockWait records how long a contended shard-lock acquisition
+// waited. The engine calls it only when its first TryLock failed.
+func (s *Sink) ShardLockWait(ns int64) {
+	if s == nil || s.lockWait == nil {
+		return
+	}
+	s.lockWait.Observe(ns)
 }
 
 // QueueDepth tracks the per-tenant admission queue after Submit/ingest.

@@ -20,6 +20,7 @@ func TestNilSinkIsSafe(t *testing.T) {
 	s.TenantRegistered("t")
 	s.BatchApplied("t", 0, 1, 2, 3, 4, 5, 6, 7, 8)
 	s.QueueDepth("t", 1)
+	s.ShardLockWait(1)
 	s.Shed("t", 1, 2)
 	s.Degrade("t", 1, 2, true)
 	s.BreakerTrip("t", 1, "cause")
@@ -40,6 +41,28 @@ func TestNewSinkBothNil(t *testing.T) {
 	if NewSink(nil, nil) != nil {
 		t.Fatal("NewSink(nil, nil) should be nil")
 	}
+}
+
+// TestShardLockWaitRegisteredAtBuild checks that the lock-wait
+// histogram is scrapeable from NewSink on, before any contention, and
+// that ShardLockWait feeds it.
+func TestShardLockWaitRegisteredAtBuild(t *testing.T) {
+	m := NewMetrics()
+	s := NewSink(m, nil)
+	var buf bytes.Buffer
+	if err := m.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), MetricShardLockWait+"_bucket") {
+		t.Fatalf("%s missing from a fresh sink's scrape:\n%s", MetricShardLockWait, buf.String())
+	}
+	s.ShardLockWait(5000)
+	h := m.Histogram(MetricShardLockWait, "")
+	if h.Count() != 1 || h.SumNs() != 5000 {
+		t.Fatalf("lock wait count %d sum %d, want 1 and 5000", h.Count(), h.SumNs())
+	}
+	// A flight-recorder-only sink has no registry to observe into.
+	NewSink(nil, NewFlightRecorder(4)).ShardLockWait(1)
 }
 
 func TestSinkUpdatesSeries(t *testing.T) {

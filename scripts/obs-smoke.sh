@@ -6,9 +6,11 @@
 # marker, and asserts the three contracts of the /metrics surface:
 #   1. the required series exist — the paper-facing load gauges
 #      (max_load, lstar), the engine health gauges (queue depth,
-#      breaker state), the apply-latency histogram, and the WAL fsync
-#      counter (pre-registered at wal.Open, so it exists even before
-#      the first fsync);
+#      breaker state), the apply-latency histogram, the shard-lock
+#      wait histogram (pre-registered when the sink is built, so it
+#      exists before any contention), and the WAL fsync counter
+#      (pre-registered at wal.Open, so it exists even before the first
+#      fsync);
 #   2. the exposition parses: every non-comment line is
 #      `name{labels} value` with a numeric value;
 #   3. /debug/flightrec serves JSONL whose first line is a structured
@@ -52,6 +54,7 @@ for series in \
     partalloc_tenant_queue_depth \
     partalloc_tenant_breaker_state \
     partalloc_tenant_apply_latency_seconds_bucket \
+    partalloc_shard_lock_wait_seconds_bucket \
     partalloc_wal_fsyncs_total \
     partalloc_wal_fsync_latency_seconds_bucket
 do
