@@ -89,11 +89,13 @@ obs-smoke:
 
 # Run the project's own analyzer suite (docs/LINTS.md): standalone over
 # every package, then again through go vet's vettool protocol so both
-# entry points stay healthy.
+# entry points stay healthy. The vettool binary is built inside the
+# checkout (.lint_build/, ignored), so concurrent checkouts never
+# overwrite each other's.
 lint:
 	go run ./cmd/partlint ./...
-	go build -o /tmp/partlint ./cmd/partlint
-	go vet -vettool=/tmp/partlint ./...
+	go build -o .lint_build/partlint ./cmd/partlint
+	go vet -vettool=$(CURDIR)/.lint_build/partlint ./...
 
 # Machine-readable findings for CI annotations and editors; exits 2 on
 # findings like the plain run, with the JSON already written.

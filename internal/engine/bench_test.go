@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"partalloc/internal/core"
@@ -81,4 +82,31 @@ func BenchmarkSerialSimulate(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
+}
+
+// BenchmarkSubmitChunks feeds one A_Rand tenant a stream in Submits of a
+// fixed size at the default BatchSize: 32 events (smaller than a batch,
+// as every perfbench workload submits) and 65536 (many batches per
+// Submit). Each iteration replays the whole stream into a fresh engine.
+func BenchmarkSubmitChunks(b *testing.B) {
+	evs := testStream(1024, 1<<16, 1)
+	for _, chunk := range []int{32, 1 << 16} {
+		b.Run(fmt.Sprintf("chunk=%d", chunk), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				eng := New(Config{Shards: 1})
+				if err := eng.AddTenant("r", core.NewRandom(tree.MustNew(1024), 1)); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				for lo := 0; lo < len(evs); lo += chunk {
+					if err := eng.Submit("r", evs[lo:min(lo+chunk, len(evs))]...); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(len(evs))*float64(b.N)/b.Elapsed().Seconds(), "events/s")
+		})
+	}
 }

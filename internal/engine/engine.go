@@ -780,13 +780,25 @@ func (e *Engine) ingest(t *tenant, evs []task.Event) error {
 		t.check.OnQueue(len(t.queue), maxQ)
 		// Sample the shard backlog at its pre-drain high-water mark.
 		e.shardAt(t.shardIdx).noteQueued()
-		for len(t.queue) >= trigger {
-			b := t.queue[:trigger]
-			t.queue = t.queue[trigger:]
-			if err := e.apply(t, b); err != nil {
-				return err
+		if len(t.queue) >= trigger {
+			head := t.queue[:0]
+			for len(t.queue) >= trigger {
+				b := t.queue[:trigger]
+				t.queue = t.queue[trigger:]
+				if err := e.apply(t, b); err != nil {
+					return err
+				}
+				t.check.OnQueue(len(t.queue), maxQ)
 			}
-			t.check.OnQueue(len(t.queue), maxQ)
+			// Carry the leftover (less than a batch) to the front of
+			// the array, so steady Submits smaller than a batch refill
+			// one array rather than regrow it. An array a large Submit
+			// grew past two batches is released instead.
+			if cap(head) <= 2*trigger {
+				t.queue = append(head, t.queue...)
+			} else {
+				t.queue = append([]task.Event(nil), t.queue...)
+			}
 		}
 		if len(evs) == 0 {
 			t.sink.QueueDepth(t.id, len(t.queue))

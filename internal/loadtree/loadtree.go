@@ -13,8 +13,13 @@
 // and aggregates maxBelow(v) = cover(v) + max over children. The load of a
 // PE is then the sum of cover counts along its root path, and the load of a
 // submachine v is maxBelow(v) plus the cover counts of v's proper ancestors.
-// Place and Remove are O(log N); submachine-load queries are O(log N);
-// the leftmost-min search is O(N/size) via depth-first descent.
+//
+// The leftmost-min search descends through a second aggregate, bestAt, in
+// O(log N) at every size. Only A_G and its random-tie variant ask for it,
+// so a tree builds bestAt on its first LeftmostMinLoad and maintains it
+// from then on. Until then Place and Remove are O(log N) (one max per
+// ancestor); after it they are O(log² N). Submachine-load queries are
+// O(log N) either way.
 package loadtree
 
 import (
@@ -37,7 +42,7 @@ type Tree struct {
 	// and everything above. bestAt[v][0] = maxBelow(v). It is the aggregate
 	// that makes LeftmostMinLoad O(log N) at every size even under
 	// adversarial fragmentation (where min-leaf pruning degrades to a full
-	// level scan).
+	// level scan). It is nil until the first LeftmostMinLoad builds it.
 	bestAt [][]int32
 	active int // number of placed tasks
 	// deferred aggregation (see BeginDeferred): while set, Place/Remove
@@ -47,30 +52,37 @@ type Tree struct {
 	dirty    bool
 }
 
-// New creates an all-idle load tree over machine m.
+// New creates an all-idle load tree over machine m. It allocates no
+// bestAt index; the first LeftmostMinLoad builds one.
 func New(m *tree.Machine) *Tree {
 	nn := m.NumNodes() + 1 // 1-indexed
-	t := &Tree{
+	return &Tree{
 		m:        m,
 		levels:   m.Levels(),
 		cover:    make([]int32, nn),
 		maxBelow: make([]int32, nn),
-		bestAt:   make([][]int32, nn),
 	}
+}
+
+// buildBestAt allocates the bestAt index and marks the tree dirty, so the
+// next flush fills it.
+func (t *Tree) buildBestAt() {
+	nn := t.m.NumNodes()
+	t.bestAt = make([][]int32, nn+1)
 	// Carve every bestAt row out of one flat backing array: one
 	// allocation per tree instead of one per node.
 	total := 0
-	for v := 1; v <= m.NumNodes(); v++ {
+	for v := 1; v <= nn; v++ {
 		total += t.levels - mathxLog2Floor(v) + 1
 	}
 	backing := make([]int32, total)
 	off := 0
-	for v := 1; v <= m.NumNodes(); v++ {
+	for v := 1; v <= nn; v++ {
 		l := t.levels - mathxLog2Floor(v) + 1
 		t.bestAt[v] = backing[off : off+l : off+l]
 		off += l
 	}
-	return t
+	t.dirty = true
 }
 
 // mathxLog2Floor is floor(log2(v)) for v ≥ 1.
@@ -136,8 +148,8 @@ func (t *Tree) Reset() {
 }
 
 // BeginDeferred switches the tree into deferred-aggregation mode: Place
-// and Remove update only the O(1) cover counts, and maxBelow/bestAt
-// are rebuilt in a single O(N) bottom-up pass the next time an
+// and Remove update only the O(1) cover counts, and maxBelow (and bestAt,
+// once built) are rebuilt in a single O(N) bottom-up pass the next time an
 // aggregate query (MaxLoad, SubmachineLoad, LeftmostMinLoad,
 // CheckInvariants) needs them. Cover-only queries (PELoad, Loads,
 // CumulativeSize) never force a rebuild.
@@ -161,30 +173,50 @@ func (t *Tree) Deferred() bool { return t.deferred }
 
 // flush rebuilds every aggregate bottom-up if cover changed since the last
 // rebuild. Children have larger heap indexes than parents, so a single
-// descending scan sees each node's children already refreshed.
+// descending scan sees each node's children already refreshed. Without
+// bestAt that is a copy of the leaves' covers and one maxOver per
+// internal node, without refresh's per-node leaf test.
 func (t *Tree) flush() {
 	if !t.dirty {
 		return
 	}
-	for v := t.m.NumNodes(); v >= 1; v-- {
-		t.refresh(tree.Node(v))
+	if t.bestAt != nil {
+		for v := t.m.NumNodes(); v >= 1; v-- {
+			t.refresh(tree.Node(v))
+		}
+	} else {
+		n := t.m.N()
+		copy(t.maxBelow[n:], t.cover[n:]) // the leaves are nodes N..2N-1
+		for v := n - 1; v >= 1; v-- {
+			t.maxBelow[v] = t.maxOver(tree.Node(v))
+		}
 	}
 	t.dirty = false
 }
 
-// refresh recomputes maxBelow[u] and bestAt[u] from u's cover and its
-// (already current) children.
+// maxOver is maxBelow of internal node u: its cover plus the larger of
+// its children's (already current) maxBelow.
+func (t *Tree) maxOver(u tree.Node) int32 {
+	return t.cover[u] + max(t.maxBelow[2*u], t.maxBelow[2*u+1])
+}
+
+// refresh recomputes maxBelow[u], and bestAt[u] once it exists, from u's
+// cover and its (already current) children.
 func (t *Tree) refresh(u tree.Node) {
-	b := t.bestAt[u]
 	if t.m.IsLeaf(u) {
 		t.maxBelow[u] = t.cover[u]
-		b[0] = t.cover[u]
+	} else {
+		t.maxBelow[u] = t.maxOver(u)
+	}
+	if t.bestAt == nil {
+		return
+	}
+	b := t.bestAt[u]
+	b[0] = t.maxBelow[u]
+	if t.m.IsLeaf(u) {
 		return
 	}
 	l, r := 2*u, 2*u+1
-	mb := t.cover[u] + max(t.maxBelow[l], t.maxBelow[r])
-	t.maxBelow[u] = mb
-	b[0] = mb
 	bl, br := t.bestAt[l], t.bestAt[r]
 	for k := 1; k < len(b); k++ {
 		lv, rv := bl[k-1], br[k-1]
@@ -241,12 +273,15 @@ func (t *Tree) CumulativeSize() int64 {
 // LeftmostMinLoad returns the leftmost submachine of the given size with
 // the smallest load, and that load. This is A_G's placement rule.
 //
-// The bestAt aggregate answers it in O(log N): the minimal load at depth d
-// is cover[root] + bestAt[root][d] (the root's cover burdens every
-// candidate), and the leftmost argmin is found by descending toward the
-// child whose contribution attains the minimum, preferring the left child
-// on ties.
+// The bestAt aggregate, built on the first call, answers it in O(log N):
+// the minimal load at depth d is cover[root] + bestAt[root][d] (the
+// root's cover burdens every candidate), and the leftmost argmin is found
+// by descending toward the child whose contribution attains the minimum,
+// preferring the left child on ties.
 func (t *Tree) LeftmostMinLoad(size int) (tree.Node, int) {
+	if t.bestAt == nil {
+		t.buildBestAt()
+	}
 	t.flush()
 	d := t.m.DepthForSize(size)
 	load := t.bestAt[1][d]
@@ -309,6 +344,9 @@ func (t *Tree) CheckInvariants() {
 		return mb
 	}
 	rec(1)
+	if t.bestAt == nil {
+		return
+	}
 	// bestAt: recompute each entry by brute force over the depth level.
 	var bruteBest func(v tree.Node, k int) int32
 	bruteBest = func(v tree.Node, k int) int32 {

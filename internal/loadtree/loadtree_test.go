@@ -2,6 +2,7 @@ package loadtree
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -141,9 +142,11 @@ func (b *brute) subLoad(v tree.Node) int {
 }
 
 func (b *brute) leftmostMin(size int) (tree.Node, int) {
+	loads := b.loads()
 	best, bestLoad := tree.Node(0), 1<<30
 	for _, v := range b.m.Submachines(size) {
-		if l := b.subLoad(v); l < bestLoad {
+		lo, hi := b.m.PERange(v)
+		if l := slices.Max(loads[lo:hi]); l < bestLoad {
 			best, bestLoad = v, l
 		}
 	}
@@ -272,5 +275,96 @@ func BenchmarkLeftmostMinLoad(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lt.LeftmostMinLoad(1 << (i % 10))
+	}
+}
+
+// TestLazyBestAtMatchesBruteForce drives eager and deferred trees through
+// random Place/Remove streams and asks for the first leftmost minimum at
+// a random step. Until then the tree holds no bestAt index; from then on
+// LeftmostMinLoad must match a brute-force leftmost scan at every size
+// and CheckInvariants must audit the index it maintains.
+func TestLazyBestAtMatchesBruteForce(t *testing.T) {
+	const steps, batch = 300, 16
+	for _, n := range []int{1, 2, 8, 64, 256} {
+		for _, deferred := range []bool{false, true} {
+			m := tree.MustNew(n)
+			seed := int64(2 * n)
+			if deferred {
+				seed++
+			}
+			rng := rand.New(rand.NewSource(seed))
+			lt := New(m)
+			b := &brute{m: m}
+			first := rng.Intn(steps)
+			for step := 0; step < steps; step++ {
+				if deferred && step%batch == 0 {
+					lt.BeginDeferred()
+				}
+				if len(b.tasks) > 0 && rng.Intn(3) == 0 {
+					i := rng.Intn(len(b.tasks))
+					v := b.tasks[i]
+					b.tasks[i] = b.tasks[len(b.tasks)-1]
+					b.tasks = b.tasks[:len(b.tasks)-1]
+					lt.Remove(v)
+				} else {
+					size := 1 << rng.Intn(m.Levels()+1)
+					v := m.SubmachineAt(size, rng.Intn(m.NumSubmachines(size)))
+					b.tasks = append(b.tasks, v)
+					lt.Place(v)
+				}
+				batchEnd := step%batch == batch-1
+				if deferred && batchEnd {
+					lt.EndDeferred()
+				}
+				// A deferred tree is checked at batch ends and at random
+				// points mid-batch, so flushes fold in many updates.
+				if deferred && !batchEnd && rng.Intn(4) != 0 {
+					continue
+				}
+				if step < first {
+					lt.CheckInvariants()
+					if lt.MaxLoad(); lt.bestAt != nil {
+						t.Fatalf("n=%d deferred=%v step %d: bestAt built before any LeftmostMinLoad", n, deferred, step)
+					}
+					continue
+				}
+				for s := 1; s <= n; s *= 2 {
+					gv, gl := lt.LeftmostMinLoad(s)
+					wv, wl := b.leftmostMin(s)
+					if gv != wv || gl != wl {
+						t.Fatalf("n=%d deferred=%v step %d: LeftmostMinLoad(%d) = %d,%d; want %d,%d",
+							n, deferred, step, s, gv, gl, wv, wl)
+					}
+				}
+				lt.CheckInvariants()
+			}
+			if lt.bestAt == nil {
+				t.Fatalf("n=%d deferred=%v: no bestAt after LeftmostMinLoad", n, deferred)
+			}
+		}
+	}
+}
+
+var treeSink *Tree
+
+// TestNewAllocatesNoBestAt pins New to the tree, cover and maxBelow: the
+// bestAt index (2N row headers and their backing array) waits for the
+// first LeftmostMinLoad, and the max-load queries never build it.
+func TestNewAllocatesNoBestAt(t *testing.T) {
+	m := tree.MustNew(1024)
+	if got := testing.AllocsPerRun(20, func() { treeSink = New(m) }); got != 3 {
+		t.Errorf("New allocates %v times, want 3", got)
+	}
+	lt := New(m)
+	lt.Place(m.LeafOf(5))
+	lt.MaxLoad()
+	lt.SubmachineLoad(2)
+	lt.CheckInvariants()
+	if lt.bestAt != nil {
+		t.Fatal("bestAt built without a LeftmostMinLoad")
+	}
+	if v, load := lt.LeftmostMinLoad(1); v != m.LeafOf(0) || load != 0 || lt.bestAt == nil {
+		t.Fatalf("LeftmostMinLoad(1) = %d,%d with bestAt built %v; want %d,0 and built",
+			v, load, lt.bestAt != nil, m.LeafOf(0))
 	}
 }
